@@ -48,8 +48,7 @@ inline std::string result_fingerprint(const minlp::MinlpResult& r) {
         s.incumbent_updates, s.pruned_by_bound, s.pruned_infeasible, s.epochs,
         s.warm_lp_solves, s.warm_phase1_skips, s.warm_simplex_iterations,
         s.cold_simplex_iterations, s.lp_factorizations, s.lp_refactorizations,
-        s.lp_eta_updates, s.lp_bound_flips, s.lp_bt_fallbacks,
-        s.lp_factor_inherits}) {
+        s.lp_eta_updates, s.lp_bound_flips, s.lp_bt_fallbacks}) {
     out += '|' + std::to_string(v);
   }
   return out;

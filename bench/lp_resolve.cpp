@@ -1,4 +1,4 @@
-// LP re-solve microbenchmark: maintained factors vs refactorize-from-scratch.
+// LP re-solve microbenchmark: parent-basis warm starts vs cold solves.
 //
 //   $ ./bench_lp_resolve [--out=BENCH_lp.json] [--seed=<n>] [--cases=<n>]
 //                        [--steps=<n>] [--repeats=<n>] [--smoke]
@@ -9,9 +9,10 @@
 // tightened per step, a tangent cut appended every third step) and re-solves
 // after every edit.  Three arms run the byte-identical sequence:
 //
-//   warm   sparse engine, parent basis + maintained-factor handoff between
-//          consecutive solves (the branch-and-bound configuration),
-//   cold   sparse engine, every solve factorizes from scratch,
+//   warm   sparse engine, each solve starts from the previous solve's basis
+//          (remapped by row keys), factors it once and absorbs its pivots as
+//          eta updates (the branch-and-bound configuration),
+//   cold   sparse engine, every solve starts from scratch (Phase I),
 //   dense  legacy dense engine (refactorizes every pivot; the pre-sparse
 //          baseline).
 //
@@ -57,7 +58,6 @@ struct ArmStats {
   long factorizations = 0;
   long refactorizations = 0;
   long eta_updates = 0;
-  long factor_inherits = 0;
   long phase1_skips = 0;
   long infeasible = 0;
   double solve_seconds = 0.0;   ///< summed over the lp solves only
@@ -87,11 +87,9 @@ ArmStats run_arm(const minlp::Model& model,
   lp::SimplexOptions opts;
   opts.engine = arm == Arm::kDense ? lp::LpEngine::kDense : lp::LpEngine::kSparse;
   opts.capture_basis = arm == Arm::kWarm;
-  opts.capture_factor = arm == Arm::kWarm;
 
   lp::Basis warm;
   std::vector<std::uint64_t> warm_keys;
-  lp::FactorRef factor;
   std::vector<std::uint64_t> keys;
   std::uint64_t cut_id = 1u << 20;  // clear of the seeded root-tangent ids
 
@@ -116,11 +114,9 @@ ArmStats run_arm(const minlp::Model& model,
 
     common::WallTimer timer;
     lp::LpSolution sol;
-    if (arm == Arm::kWarm) {
+    if (arm == Arm::kWarm && !warm.empty()) {
       sol = lp::resolve_from_basis(
-          master,
-          warm.empty() ? lp::Basis{} : lp::map_basis(warm, warm_keys, keys),
-          lp::WarmFactor{factor, keys}, opts);
+          master, lp::map_basis(warm, warm_keys, keys), opts);
     } else {
       sol = lp::solve(master, opts);
     }
@@ -132,19 +128,13 @@ ArmStats run_arm(const minlp::Model& model,
     out.factorizations += sol.factorizations;
     out.refactorizations += sol.refactorizations;
     out.eta_updates += sol.eta_updates;
-    out.factor_inherits += sol.factor_inherited ? 1 : 0;
     out.phase1_skips += sol.warm_phase1_skipped ? 1 : 0;
     if (sol.status == lp::LpStatus::kOptimal) {
       out.objective_bits += bench::bits(sol.objective) + ',';
       out.objectives.push_back(sol.objective);
-      if (arm == Arm::kWarm) {
-        if (!sol.basis.empty()) {
-          warm = sol.basis;
-          warm_keys = keys;
-        }
-        if (sol.factor != nullptr) {
-          factor = sol.factor;
-        }
+      if (arm == Arm::kWarm && !sol.basis.empty()) {
+        warm = sol.basis;
+        warm_keys = keys;
       }
     } else {
       ++out.infeasible;
@@ -195,10 +185,10 @@ int main(int argc, char** argv) {
   }
 
   const std::string title =
-      "LP re-solve: maintained LU factors vs refactorize-from-scratch";
+      "LP re-solve: parent-basis warm starts vs cold solves";
   const std::string reference =
-      "sparse revised simplex with eta updates and parent-factor handoff;"
-      " warm re-solves vs cold solves on identical node-edit sequences";
+      "sparse revised simplex with eta updates; warm re-solves from the"
+      " parent basis vs cold solves on identical node-edit sequences";
   bench::banner(title, reference);
   if (smoke) {
     std::cout << "[smoke mode: short sequences, timings are not meaningful]\n";
@@ -222,8 +212,7 @@ int main(int argc, char** argv) {
   report::ResultSet artifact =
       bench::make_result_set("lp_resolve", title, reference);
   common::Table table({"case", "rows", "warm ms", "cold ms", "dense ms",
-                       "speedup", "warm pivots", "cold pivots", "etas",
-                       "inherits"});
+                       "speedup", "warm pivots", "cold pivots", "etas"});
   bool identity_ok = true;
   double log_speedup_sum = 0.0;
   double log_dense_speedup_sum = 0.0;
@@ -251,10 +240,9 @@ int main(int argc, char** argv) {
     }
 
     // Deterministic edit sequence.  Tightenings prefer integer variables
-    // that are NOT link arguments so the chord rows -- and with them the
-    // factor's row identity -- survive most steps, exactly like SOS/binary
-    // branching in the tree; every third step appends a tangent cut, the
-    // bordered-adoption shape.
+    // that are NOT link arguments so the chord rows survive most steps,
+    // exactly like SOS/binary branching in the tree; the other steps append
+    // a tangent cut, the shape of an OA cut round.
     std::vector<std::size_t> link_vars;
     for (const minlp::UnivariateLink& link : model.links()) {
       link_vars.push_back(link.n_var);
@@ -274,10 +262,10 @@ int main(int argc, char** argv) {
       targets = fallback;
     }
     // Blocks of four steps share one tightening (the "node"): within a
-    // block, consecutive LPs differ only by the appended cut rows, so the
-    // bordered factor adoption can engage; the block boundary changes the
-    // bounds -- and, for link variables, the chord rows -- forcing a fresh
-    // factorization exactly as branching to a sibling subtree does.
+    // block, consecutive LPs differ only by the appended cut rows, whose
+    // slacks enter the remapped basis; the block boundary changes the
+    // bounds -- and, for link variables, the chord rows -- exactly as
+    // branching to a sibling subtree does.
     constexpr std::size_t kBlock = 4;
     common::Rng rng(seed ^ (0x9e3779b97f4a7c15ull * (measured + 1)));
     std::vector<Step> steps(static_cast<std::size_t>(num_steps));
@@ -374,7 +362,6 @@ int main(int argc, char** argv) {
     table.cell(static_cast<long long>(warm.pivots));
     table.cell(static_cast<long long>(cold.pivots));
     table.cell(static_cast<long long>(warm.eta_updates));
-    table.cell(static_cast<long long>(warm.factor_inherits));
 
     artifact.add(s.name, 0.0, "steps", static_cast<double>(warm.solves),
                  "count");
@@ -394,8 +381,6 @@ int main(int argc, char** argv) {
                  static_cast<double>(cold.factorizations), "count");
     artifact.add(s.name, 0.0, "eta_updates",
                  static_cast<double>(warm.eta_updates), "count");
-    artifact.add(s.name, 0.0, "factor_inherits",
-                 static_cast<double>(warm.factor_inherits), "count");
     artifact.add(s.name, 0.0, "phase1_skips",
                  static_cast<double>(warm.phase1_skips), "count");
     artifact.add(s.name, 0.0, "infeasible_steps",

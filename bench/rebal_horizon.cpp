@@ -226,8 +226,6 @@ int main(int argc, char** argv) {
                  static_cast<double>(r.resolve_lp_solves), "count");
     artifact.add(name, 0.0, "resolve_simplex_iterations",
                  static_cast<double>(r.resolve_simplex_iterations), "count");
-    artifact.add(name, 0.0, "resolve_factor_inherits",
-                 static_cast<double>(r.resolve_factor_inherits), "count");
     artifact.add(name, 0.0, "resolve_warm_primes",
                  static_cast<double>(r.resolve_warm_primes), "count");
     artifact.add(name, 0.0, "resolve_ms", r.resolve_wall_seconds * 1e3, "ms",

@@ -433,7 +433,7 @@ int main(int argc, char** argv) {
 
   common::Table scaling_table({"scenario", "components", "threads", "time,ms",
                                "nodes", "LP factor,ms", "LP pivot,ms",
-                               "etas", "inherits", "speedup"});
+                               "etas", "speedup"});
   for (const ScalingCase& sc : scaling) {
     for (const ScalingRun& run : sc.runs) {
       const minlp::SolveStats& st = run.result.stats;
@@ -446,7 +446,6 @@ int main(int argc, char** argv) {
       scaling_table.cell(st.lp_factor_seconds * 1e3, 2);
       scaling_table.cell(st.lp_pivot_seconds * 1e3, 2);
       scaling_table.cell(static_cast<long long>(st.lp_eta_updates));
-      scaling_table.cell(static_cast<long long>(st.lp_factor_inherits));
       scaling_table.cell(sc.runs[0].seconds / std::max(1e-12, run.seconds), 2);
     }
     {
@@ -460,7 +459,6 @@ int main(int argc, char** argv) {
       scaling_table.cell(st.lp_factor_seconds * 1e3, 2);
       scaling_table.cell(st.lp_pivot_seconds * 1e3, 2);
       scaling_table.cell(static_cast<long long>(st.lp_eta_updates));
-      scaling_table.cell(static_cast<long long>(st.lp_factor_inherits));
       scaling_table.cell(sc.speedup_sparse_vs_dense, 2);
     }
     const std::string series = "scaling/" + sc.name;
@@ -493,8 +491,6 @@ int main(int argc, char** argv) {
                    static_cast<double>(st.lp_eta_updates), "count");
       artifact.add(series, run.threads, "lp_bound_flips",
                    static_cast<double>(st.lp_bound_flips), "count");
-      artifact.add(series, run.threads, "lp_factor_inherits",
-                   static_cast<double>(st.lp_factor_inherits), "count");
       artifact.add(series, run.threads, "lp_bt_fallbacks",
                    static_cast<double>(st.lp_bt_fallbacks), "count");
     }

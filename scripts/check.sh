@@ -46,7 +46,7 @@ echo "== parallel-solver bench smoke run (identity check, tiny node budget)"
 "${build_dir}/bench/bench_minlp_parallel" --smoke --repeats=1 \
   --out="${build_dir}/BENCH_minlp.json"
 
-echo "== LP re-solve bench smoke under ASan (maintained factors vs cold)"
+echo "== LP re-solve bench smoke under ASan (parent-basis warm starts vs cold)"
 "${build_dir}/bench/bench_lp_resolve" --smoke --repeats=1 \
   --out="${build_dir}/BENCH_lp.json"
 

@@ -45,7 +45,9 @@ Expr variable(std::size_t index, std::string name) {
   auto node = std::make_shared<Node>();
   node->op = Op::kVar;
   node->var_index = index;
-  node->var_name = name.empty() ? "x" + std::to_string(index) : std::move(name);
+  node->var_name = name.empty()
+                       ? std::string("x").append(std::to_string(index))
+                       : std::move(name);
   return Expr(std::move(node));
 }
 

@@ -48,9 +48,19 @@ std::string render_const(double v) {
 
 std::string render(const Node& node);
 
+/// `open + body + close`, built by appending.  (GCC 12 Release builds
+/// report a false -Wrestrict overlap on `"literal" + std::string`.)
+std::string enclose(const char* open, const std::string& body,
+                    const char* close) {
+  std::string out = open;
+  out += body;
+  out += close;
+  return out;
+}
+
 std::string child(const Node& parent, const Node& kid) {
   if (precedence(kid.op) < precedence(parent.op)) {
-    return "(" + render(kid) + ")";
+    return enclose("(", render(kid), ")");
   }
   return render(kid);
 }
@@ -85,11 +95,11 @@ std::string render(const Node& node) {
     case Op::kPow:
       return child(node, *node.children[0]) + "^" + render_const(node.value);
     case Op::kNeg:
-      return "-" + child(node, *node.children[0]);
+      return enclose("-", child(node, *node.children[0]), "");
     case Op::kLog:
-      return "log(" + render(*node.children[0]) + ")";
+      return enclose("log(", render(*node.children[0]), ")");
     case Op::kExp:
-      return "exp(" + render(*node.children[0]) + ")";
+      return enclose("exp(", render(*node.children[0]), ")");
   }
   throw InternalError("unhandled expression op in printer");
 }

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -86,28 +85,6 @@ enum class LpEngine : unsigned char {
   kDense,       ///< legacy dense LU refactorized every pivot
 };
 
-/// Opaque maintained-factorization snapshot captured by the sparse engine
-/// (basis LU + eta file + row identity, immutable and safely shared across
-/// threads).  Produced via SimplexOptions::capture_factor, consumed via
-/// WarmFactor so a child node's re-solve starts from its parent's updated
-/// factor instead of a cold factorization.
-class FactorSnapshot;
-using FactorRef = std::shared_ptr<const FactorSnapshot>;
-
-/// Factor handoff input for resolve_from_basis().  `row_keys` names the
-/// rows of the problem being solved (same caller-chosen identifiers as
-/// map_basis) -- required for capturing a snapshot and for validating an
-/// inherited one; `snapshot` is the parent's capture (may be null).  The
-/// engine accepts the snapshot only when every snapshot row still exists
-/// with byte-identical coefficients and the warm basis matches the
-/// snapshot's basic set; anything else falls back to a fresh
-/// factorization, so a handoff can change speed but never the trajectory's
-/// correctness.
-struct WarmFactor {
-  FactorRef snapshot;
-  std::span<const std::uint64_t> row_keys;
-};
-
 struct SimplexOptions {
   double feasibility_tol = 1e-7;   ///< bound/row violation tolerance
   double optimality_tol = 1e-8;    ///< reduced-cost tolerance
@@ -119,8 +96,7 @@ struct SimplexOptions {
   /// Engine selection; kSparse unless a caller explicitly wants the dense
   /// baseline (benchmarks, regression comparison).
   LpEngine engine = LpEngine::kSparse;
-  /// Sparse engine: refactorize once this many eta updates accumulate
-  /// across the whole factor stack (inherited + live).
+  /// Sparse engine: refactorize once this many eta updates accumulate.
   int refactor_interval = 64;
   /// Sparse engine: refactorize when the eta file's entries exceed this
   /// multiple of the base factor's fill (plus a small per-row allowance).
@@ -128,13 +104,6 @@ struct SimplexOptions {
   /// Sparse engine: refuse an eta whose pivot |w_r| falls below this
   /// fraction of max(1, ||w||_inf) and refactorize instead.
   double eta_stability_tol = 1e-8;
-  /// Sparse engine: maximum depth of inherited factor levels (parent
-  /// snapshots + borders) before a handoff is declined in favor of a fresh
-  /// factorization.
-  int max_factor_levels = 4;
-  /// Capture a FactorSnapshot into LpSolution::factor on optimal
-  /// termination (sparse engine only; requires WarmFactor::row_keys).
-  bool capture_factor = false;
 };
 
 struct LpSolution {
@@ -163,18 +132,11 @@ struct LpSolution {
   /// rejected the B^T factorization and the system was solved through the
   /// factorization of B instead (see LuFactor::solve_transposed).
   long bt_fallbacks = 0;
-  /// True when an inherited FactorSnapshot was accepted and this solve
-  /// started from the parent's maintained factor.
-  bool factor_inherited = false;
 
   // --- phase timing (wall clock; excluded from fingerprints) ---
   double factor_seconds = 0.0;  ///< building LU factorizations
   double update_seconds = 0.0;  ///< appending eta updates
   double pivot_seconds = 0.0;   ///< everything else in the pivot loops
-
-  /// Maintained-factor snapshot (only when SimplexOptions::capture_factor,
-  /// sparse engine, optimal, and row keys were supplied).
-  FactorRef factor;
 };
 
 /// Solve the LP by two-phase bounded-variable primal simplex.
@@ -186,17 +148,6 @@ struct LpSolution {
 /// result is identical to solve() up to degenerate vertex choice.
 [[nodiscard]] LpSolution resolve_from_basis(const LpProblem& problem,
                                             const Basis& warm,
-                                            const SimplexOptions& options = {});
-
-/// Warm re-solve with an optional maintained-factor handoff: `factor` names
-/// this problem's rows and may carry the parent solve's FactorSnapshot.
-/// With a valid snapshot the dual-repair/Phase-II start prices through the
-/// parent's updated factor (extended by a bordered block for rows the
-/// parent did not have) instead of a cold LU.  Row keys are also what lets
-/// this solve capture its own snapshot for the next generation.
-[[nodiscard]] LpSolution resolve_from_basis(const LpProblem& problem,
-                                            const Basis& warm,
-                                            const WarmFactor& factor,
                                             const SimplexOptions& options = {});
 
 }  // namespace hslb::lp

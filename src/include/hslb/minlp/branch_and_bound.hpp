@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "hslb/lp/simplex.hpp"
@@ -36,9 +35,8 @@ const char* to_string(MinlpStatus status);
 
 enum class NodeSelection { kBestBound, kDepthFirst };
 
-/// One structured solver progress event.  The solver emits these through
-/// SolverOptions::event_sink; `to_line()` renders the legacy text format
-/// that the plain-string `logger` used to receive.
+/// One structured solver progress event, emitted through
+/// SolverOptions::event_sink.
 struct SolverEvent {
   enum class Kind {
     kPresolve,   ///< after FBBT: tightenings/rounds filled
@@ -56,9 +54,6 @@ struct SolverEvent {
   int presolve_rounds = 0;
   long lp_solves = 0;
   long cuts_added = 0;
-
-  /// Render in the legacy one-line logger format.
-  std::string to_line() const;
 };
 
 using SolverEventSink = std::function<void(const SolverEvent&)>;
@@ -70,17 +65,13 @@ using SolverEventSink = std::function<void(const SolverEvent&)>;
 /// SolverOptions::warm_start -- the rebalancing loop re-enters the solver
 /// this way after every re-fit.  Every piece degrades safely when the model
 /// moved: the incumbent is re-completed against the new model (dropped if
-/// infeasible), the basis is remapped by stable row keys, and the factor
-/// snapshot validates row identity and declines itself on any mismatch.
+/// infeasible), and the basis is remapped by stable row keys.
 struct WarmStart {
   linalg::Vector incumbent;  ///< previous best point (empty: none)
   lp::Basis root_basis;      ///< root LP basis from the previous solve
   std::vector<std::uint64_t> root_keys;  ///< row keys it was captured on
-  lp::FactorRef root_factor;             ///< maintained LU snapshot
 
-  bool empty() const {
-    return incumbent.empty() && root_basis.empty() && root_factor == nullptr;
-  }
+  bool empty() const { return incumbent.empty() && root_basis.empty(); }
 };
 
 struct SolverOptions {
@@ -101,9 +92,6 @@ struct SolverOptions {
   /// Structured progress sink (presolve summary, incumbent updates,
   /// periodic node counts, final summary).
   SolverEventSink event_sink;
-  /// Legacy plain-text sink, kept for back compatibility: receives
-  /// SolverEvent::to_line() for every event the sink above would see.
-  std::function<void(const std::string&)> logger;
   /// Node-count cadence for kProgress events.  The first heartbeat fires
   /// at node 1 (so short solves still produce one), then every multiple.
   long log_every_nodes = 100;
@@ -132,7 +120,6 @@ struct SolverOptions {
   /// Simplex engine for every master-LP solve.  kSparse (the default) is
   /// the maintained-factor revised simplex; kDense keeps the dense tableau
   /// path selectable for A/B comparison (bench_scen_corpus's dense arm).
-  /// Factor handoff across nodes only applies under kSparse.
   lp::LpEngine lp_engine = lp::LpEngine::kSparse;
   /// Cap on pooled cuts; the oldest non-root cuts age out at epoch
   /// boundaries (a deterministic point) when the pool exceeds this.
@@ -143,9 +130,9 @@ struct SolverOptions {
   /// Borrowed; may be null.  The previous incumbent is rounded, clamped to
   /// the new root box, and completed into an initial incumbent (so the tree
   /// starts with a working cutoff); the root node inherits the previous
-  /// basis/keys/factor exactly as a child inherits its parent's.
+  /// basis/keys exactly as a child inherits its parent's.
   const WarmStart* warm_start = nullptr;
-  /// Capture this solve's root basis/keys/factor and final incumbent into
+  /// Capture this solve's root basis/keys and final incumbent into
   /// MinlpResult::warm for a later warm re-solve.  Capture never changes the
   /// search; only feeding the state back does.
   bool capture_warm_start = false;
@@ -171,7 +158,6 @@ struct SolveStats {
   long lp_eta_updates = 0;       ///< product-form basis updates appended
   long lp_bound_flips = 0;       ///< pivots resolved without a basis change
   long lp_bt_fallbacks = 0;      ///< dense-engine B^T solve fallbacks
-  long lp_factor_inherits = 0;   ///< node LPs begun on the parent's factor
   long warm_incumbent_primes = 0;  ///< solves seeded from a prior incumbent
   double lp_seconds = 0.0;     ///< wall time inside master-LP solves
   double lp_factor_seconds = 0.0;  ///< LP time building LU factorizations

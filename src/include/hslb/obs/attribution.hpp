@@ -87,7 +87,6 @@ struct LpEngineRollup {
   double pivot_ms = 0.0;   ///< ... spent in the pivot loops proper
   long eta_updates = 0;
   long refactorizations = 0;
-  long factor_inherits = 0;
   long bt_fallbacks = 0;
   long epochs = 0;  ///< minlp.epoch spans seen (0: trace carries no solver)
 };

@@ -4,8 +4,8 @@
 //     -> detect sustained imbalance (ImbalanceDetector, HemoCell trigger)
 //     -> re-fit the drifted curves (ScaleTracker: RLS + CUSUM + Huber)
 //     -> warm re-solve the allocation (minlp::solve re-entered from the
-//        previous incumbent, root basis, and factor snapshot), with the
-//        scenario heuristic grid search as the in-loop fallback rung
+//        previous incumbent and root basis), with the scenario heuristic
+//        grid search as the in-loop fallback rung
 //     -> adopt the new allocation and keep observing.
 //
 // Accounting is split along the repo's determinism convention: everything a
@@ -36,7 +36,7 @@ struct LoopOptions {
   /// false: static arm -- solve once at step 0 and never rebalance (the
   /// paper's offline HSLB, measured under drift for comparison).
   bool rebalance = true;
-  /// Warm re-solves (previous incumbent + root basis + factor snapshot).
+  /// Warm re-solves (previous incumbent + root basis).
   /// false: every re-solve starts cold -- the A/B arm of the bench.
   bool warm = true;
 
@@ -60,7 +60,6 @@ struct RebalanceEvent {
   long nodes_explored = 0;
   long lp_solves = 0;
   long simplex_iterations = 0;
-  long factor_inherits = 0;
   double objective = 0.0;      ///< model objective of the new allocation
   double wall_seconds = 0.0;   ///< measured re-solve time (timing only)
   std::vector<int> allocation;
@@ -84,7 +83,6 @@ struct HorizonResult {
   long resolve_nodes = 0;
   long resolve_lp_solves = 0;
   long resolve_simplex_iterations = 0;
-  long resolve_factor_inherits = 0;
   long resolve_warm_primes = 0;
   double resolve_wall_seconds = 0.0;  ///< measured (timing only)
 

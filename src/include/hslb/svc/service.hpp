@@ -107,6 +107,9 @@ struct ServiceStats {
   long long served_heuristic = 0; ///< grid-search brownout answers
   long long hedged_retries = 0;   ///< extra exact attempts after a death
   long long chaos_injected = 0;   ///< faults the chaos layer fired
+  /// Keys in the per-key solve-attempt table.  The table exists only for
+  /// chaos replay, so it stays empty while chaos is off.
+  long long attempt_keys = 0;
 };
 
 class AllocationService {
@@ -254,8 +257,10 @@ class AllocationService {
   mutable std::mutex breaker_mutex_;
   std::map<std::string, std::unique_ptr<CircuitBreaker>> breakers_;
 
-  std::mutex attempt_mutex_;
-  std::map<std::string, int> attempts_;  ///< per-key exact-solve attempt count
+  mutable std::mutex attempt_mutex_;
+  /// Per-key exact-solve attempt count, the chaos injector's replay axis;
+  /// touched only while chaos is on.
+  std::map<std::string, int> attempts_;
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;

@@ -11,8 +11,9 @@ std::size_t LpProblem::add_variable(double lower, double upper, double cost,
   cost_.push_back(cost);
   col_lower_.push_back(lower);
   col_upper_.push_back(upper);
-  names_.push_back(name.empty() ? "x" + std::to_string(cost_.size() - 1)
-                                : std::move(name));
+  names_.push_back(
+      name.empty() ? std::string("x").append(std::to_string(cost_.size() - 1))
+                   : std::move(name));
   return cost_.size() - 1;
 }
 

@@ -8,11 +8,8 @@
 // CSC form, factorizes the basis once per (re)start with a Markowitz sparse
 // LU, and absorbs each pivot as a product-form eta update; a deterministic
 // trigger (eta count, eta fill, or a refused unstable update) forces a
-// refactorization.  A solve may capture its maintained factor as an
-// immutable FactorSnapshot, and a child re-solve that presents matching row
-// identities adopts it -- extending the parent's factor by a bordered
-// block for rows the parent did not have -- instead of paying a cold
-// factorization.  See DESIGN.md section 15.
+// refactorization.  Every solve factors its own starting basis; a warm
+// re-solve inherits only the parent's basis.  See DESIGN.md section 15.
 //
 // The legacy dense engine (DenseSimplex) applies the basis inverse through
 // a fresh dense LU factorization each pivot.  It survives as the
@@ -48,41 +45,6 @@
 
 namespace hslb::lp {
 
-/// Tag bit marking a FactorSnapshot basis member as a row slack (the low
-/// bits then hold the row key); structural members store the column index.
-constexpr std::uint64_t kSlackBit = 1ULL << 63;
-
-/// Immutable capture of a maintained factorization: the root sparse LU (or
-/// a reference to the parent snapshot plus the bordered extension that
-/// turned the parent's basis into this one), the eta updates accumulated at
-/// this level, and enough row identity (keys + coefficient signatures) for
-/// a later solve to validate adoption.  Snapshots form a chain via
-/// `parent`; shared_ptr keeps every level alive and the whole object is
-/// deep-value otherwise, so concurrent readers on different threads are
-/// safe.
-class FactorSnapshot {
- public:
-  struct BorderRow {
-    int row = 0;                                 ///< row index at this level
-    double slack_coeff = -1.0;                   ///< the row's basic slack
-    std::vector<std::pair<int, double>> terms;   ///< (parent position, coeff)
-  };
-
-  FactorRef parent;                 ///< null for a root snapshot
-  linalg::SparseLu lu;              ///< root level only
-  std::vector<int> old_rows;        ///< parent row i -> row at this level
-  std::vector<BorderRow> border;    ///< rows new at this level
-  linalg::EtaFile etas;             ///< updates accumulated at this level
-  int m = 0;                        ///< rows at this level
-  int levels = 1;                   ///< chain depth including this level
-  long total_etas = 0;              ///< eta count across the whole chain
-  long base_nnz = 0;                ///< root factor fill
-  std::size_t n = 0;                ///< structural columns when captured
-  std::vector<std::uint64_t> row_keys;   ///< caller-chosen row identifiers
-  std::vector<std::uint64_t> row_sigs;   ///< coefficient signature per row
-  std::vector<std::uint64_t> basis_ids;  ///< basic member per position
-};
-
 namespace {
 
 using linalg::EtaFile;
@@ -101,19 +63,6 @@ enum class WarmMode {
   kReuse,       ///< warm basis primal feasible; Phase I skipped
   kDualRepair,  ///< warm basis repaired by dual pivots; Phase I skipped
 };
-
-/// FNV-1a over a row's coefficient bytes: the signature that lets factor
-/// adoption detect a row whose key survived but whose coefficients changed
-/// (chord rows are rebuilt against the node's bounds under a stable key).
-std::uint64_t row_signature(std::span<const double> coeffs) {
-  const auto* p = reinterpret_cast<const unsigned char*>(coeffs.data());
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < coeffs.size() * sizeof(double); ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// Legacy engine: full dense working state over structural + slack +
 /// artificial columns, refactorizing every pivot.
@@ -789,65 +738,17 @@ class DenseSimplex {
   bool numeric_failure_ = false;
 };
 
-/// The sparse engine's basis representation: either a factorization it owns
-/// (own mode: fresh SparseLu of the current basis + a live eta file), or an
-/// inherited FactorSnapshot chain extended by a live bordered block and a
-/// live eta file.  Either way the chain is flattened into `levels_`
-/// (root first) and FTRAN/BTRAN run iteratively over it:
-///
-///   B_l = [[B_{l-1}, 0], [C_l, S_l]]  (after the row permutation old_rows)
-///
-/// is block lower triangular, so FTRAN extracts the parent subsystem on the
-/// way down, solves the root, and back-substitutes each border block (then
-/// that level's etas) on the way up; BTRAN runs the mirror image.  Two
-/// buffer pools with per-level offsets (bufA_ row-space, bufB_
-/// position-space) keep the sweeps allocation-free.
+/// The sparse engine's basis representation: a sparse LU of the basis at
+/// the last (re)factorization plus the eta file of the pivots since.
 class MaintainedFactor {
  public:
-  /// Fresh factorization of the basis columns; drops any inherited chain.
-  /// Retains own_lu_/etas_ capacity across calls.
+  /// Fresh factorization of the basis columns; clears the eta file.
+  /// Retains the LU's and eta file's capacity across calls.
   bool refactorize(const SparseColumns& cols, const SparseLuOptions& opts) {
-    inherited_.reset();
-    old_rows_.clear();
-    border_.clear();
     etas_.clear();
-    levels_.clear();  // never leave pointers into a released chain
-    own_mode_ = true;
-    m_ = cols.cols();
-    valid_ = own_lu_.factorize(cols, opts);
-    if (valid_) {
-      rebuild_levels();
-    }
-    return valid_;
+    work_.resize(static_cast<std::size_t>(cols.cols()));
+    return lu_.factorize(cols, opts);
   }
-
-  /// Adopt a parent snapshot extended by a live bordered block mapping it
-  /// onto the current problem's m rows.  Caller has validated row identity.
-  void adopt(FactorRef snap, std::vector<int> old_rows,
-             std::vector<FactorSnapshot::BorderRow> border, int m) {
-    inherited_ = std::move(snap);
-    old_rows_ = std::move(old_rows);
-    border_ = std::move(border);
-    etas_.clear();
-    own_mode_ = false;
-    m_ = m;
-    valid_ = true;
-    rebuild_levels();
-  }
-
-  /// Invalidate and release any inherited snapshot chain (so a pooled
-  /// workspace does not pin dead parents between solves).
-  void release() {
-    inherited_.reset();
-    old_rows_.clear();
-    border_.clear();
-    levels_.clear();
-    valid_ = false;
-  }
-
-  bool valid() const { return valid_; }
-  int rows() const { return m_; }
-  int depth() const { return static_cast<int>(levels_.size()); }
 
   /// Append a product-form update at position r (w = FTRAN image of the
   /// entering column).  False => unstable pivot, caller must refactorize.
@@ -855,220 +756,27 @@ class MaintainedFactor {
     return etas_.append(w, r, stability_tol);
   }
 
-  long total_etas() const {
-    long t = 0;
-    for (const Level& l : levels_) {
-      t += l.etas->count();
-    }
-    return t;
-  }
-
-  long eta_entries() const {
-    long t = 0;
-    for (const Level& l : levels_) {
-      t += l.etas->nnz();
-    }
-    return t;
-  }
-
-  long base_nnz() const {
-    return levels_.empty() ? 0 : levels_.front().lu->factor_nnz();
-  }
+  long total_etas() const { return etas_.count(); }
+  long eta_entries() const { return etas_.nnz(); }
+  long base_nnz() const { return lu_.factor_nnz(); }
 
   /// Solve B x = rhs; `rhs` indexed by row, `out` by basis position.
-  /// Aliasing rhs/out is allowed (both are staged through the buffers).
   void ftran(std::span<const double> rhs, std::span<double> out) {
-    const int levels = static_cast<int>(levels_.size());
-    const int top = levels - 1;
-    std::copy(rhs.begin(), rhs.end(), bufA_.begin() + offsets_[top]);
-    // Down sweep: extract each parent's rows.
-    for (int l = top; l >= 1; --l) {
-      const std::vector<int>& om = *levels_[l].old_rows;
-      const double* a = bufA_.data() + offsets_[l];
-      double* ap = bufA_.data() + offsets_[l - 1];
-      const int pm = levels_[l - 1].m;
-      for (int i = 0; i < pm; ++i) {
-        ap[i] = a[om[i]];
-      }
-    }
-    // Root solve + root etas.
-    {
-      const Level& root = levels_[0];
-      const std::size_t rm = static_cast<std::size_t>(root.m);
-      std::span<double> a0(bufA_.data() + offsets_[0], rm);
-      std::span<double> b0(bufB_.data() + offsets_[0], rm);
-      root.lu->ftran(a0, b0, std::span<double>(work_.data(), rm));
-      root.etas->apply_ftran(b0);
-    }
-    // Up sweep: back-substitute each border block, then that level's etas.
-    for (int l = 1; l < levels; ++l) {
-      const Level& lev = levels_[l];
-      const int pm = levels_[l - 1].m;
-      const double* bp = bufB_.data() + offsets_[l - 1];
-      double* b = bufB_.data() + offsets_[l];
-      const double* a = bufA_.data() + offsets_[l];
-      std::copy(bp, bp + pm, b);
-      const auto& border = *lev.border;
-      for (std::size_t j = 0; j < border.size(); ++j) {
-        const FactorSnapshot::BorderRow& br = border[j];
-        double v = a[br.row];
-        for (const auto& [p, c] : br.terms) {
-          v -= c * b[p];
-        }
-        b[pm + static_cast<int>(j)] = v / br.slack_coeff;
-      }
-      lev.etas->apply_ftran(
-          std::span<double>(b, static_cast<std::size_t>(lev.m)));
-    }
-    const double* bt = bufB_.data() + offsets_[top];
-    std::copy(bt, bt + m_, out.begin());
+    lu_.ftran(rhs, out, work_);
+    etas_.apply_ftran(out);
   }
 
   /// Solve B^T y = rhs; `rhs` indexed by basis position, `out` by row.
   void btran(std::span<const double> rhs, std::span<double> out) {
-    const int levels = static_cast<int>(levels_.size());
-    const int top = levels - 1;
-    std::copy(rhs.begin(), rhs.end(), bufB_.begin() + offsets_[top]);
-    // Down sweep: undo this level's etas, peel the border block (storing
-    // each border dual in place at its tail slot for the up sweep), and
-    // hand the modified prefix to the parent.
-    for (int l = top; l >= 1; --l) {
-      const Level& lev = levels_[l];
-      const int pm = levels_[l - 1].m;
-      double* b = bufB_.data() + offsets_[l];
-      double* bp = bufB_.data() + offsets_[l - 1];
-      lev.etas->apply_btran(
-          std::span<double>(b, static_cast<std::size_t>(lev.m)));
-      const auto& border = *lev.border;
-      for (std::size_t j = 0; j < border.size(); ++j) {
-        const FactorSnapshot::BorderRow& br = border[j];
-        const double yj = b[pm + static_cast<int>(j)] / br.slack_coeff;
-        b[pm + static_cast<int>(j)] = yj;
-        for (const auto& [p, c] : br.terms) {
-          b[p] -= c * yj;
-        }
-      }
-      std::copy(b, b + pm, bp);
-    }
-    // Root: etas transposed, then the factor's BTRAN.
-    {
-      const Level& root = levels_[0];
-      const std::size_t rm = static_cast<std::size_t>(root.m);
-      std::span<double> b0(bufB_.data() + offsets_[0], rm);
-      std::span<double> a0(bufA_.data() + offsets_[0], rm);
-      root.etas->apply_btran(b0);
-      root.lu->btran(b0, a0, std::span<double>(work_.data(), rm));
-    }
-    // Up sweep: scatter parent duals through old_rows, border duals to
-    // their own rows.
-    for (int l = 1; l < levels; ++l) {
-      const Level& lev = levels_[l];
-      const int pm = levels_[l - 1].m;
-      const std::vector<int>& om = *lev.old_rows;
-      double* a = bufA_.data() + offsets_[l];
-      const double* ap = bufA_.data() + offsets_[l - 1];
-      const double* b = bufB_.data() + offsets_[l];
-      for (int i = 0; i < pm; ++i) {
-        a[om[i]] = ap[i];
-      }
-      const auto& border = *lev.border;
-      for (std::size_t j = 0; j < border.size(); ++j) {
-        a[border[j].row] = b[pm + static_cast<int>(j)];
-      }
-    }
-    const double* at = bufA_.data() + offsets_[top];
-    std::copy(at, at + m_, out.begin());
-  }
-
-  /// Package the current state as an immutable snapshot.  The live pieces
-  /// are copied (the workspace keeps its capacity); an inherited chain is
-  /// shared by reference.
-  FactorRef capture(std::size_t n, std::span<const std::uint64_t> row_keys,
-                    std::vector<std::uint64_t> row_sigs,
-                    std::vector<std::uint64_t> basis_ids) const {
-    auto s = std::make_shared<FactorSnapshot>();
-    s->m = m_;
-    s->n = n;
-    s->row_keys.assign(row_keys.begin(), row_keys.end());
-    s->row_sigs = std::move(row_sigs);
-    s->basis_ids = std::move(basis_ids);
-    s->etas = etas_;
-    if (own_mode_) {
-      s->lu = own_lu_;
-      s->levels = 1;
-      s->total_etas = s->etas.count();
-      s->base_nnz = own_lu_.factor_nnz();
-    } else {
-      s->parent = inherited_;
-      s->old_rows = old_rows_;
-      s->border = border_;
-      s->levels = inherited_->levels + 1;
-      s->total_etas = inherited_->total_etas + s->etas.count();
-      s->base_nnz = inherited_->base_nnz;
-    }
-    return s;
+    std::copy(rhs.begin(), rhs.end(), out.begin());
+    etas_.apply_btran(out);
+    lu_.btran(out, out, work_);
   }
 
  private:
-  struct Level {
-    const SparseLu* lu = nullptr;  // root level only
-    const std::vector<int>* old_rows = nullptr;
-    const std::vector<FactorSnapshot::BorderRow>* border = nullptr;
-    const EtaFile* etas = nullptr;
-    int m = 0;
-  };
-
-  void rebuild_levels() {
-    levels_.clear();
-    if (own_mode_) {
-      levels_.push_back(Level{&own_lu_, nullptr, nullptr, &etas_, m_});
-    } else {
-      // Walk the snapshot chain down to the root, then emit root-first.
-      chain_.clear();
-      for (const FactorSnapshot* s = inherited_.get(); s != nullptr;
-           s = s->parent.get()) {
-        chain_.push_back(s);
-      }
-      for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) {
-        const FactorSnapshot* s = *it;
-        Level l;
-        l.etas = &s->etas;
-        l.m = s->m;
-        if (s->parent) {
-          l.old_rows = &s->old_rows;
-          l.border = &s->border;
-        } else {
-          l.lu = &s->lu;
-        }
-        levels_.push_back(l);
-      }
-      levels_.push_back(Level{nullptr, &old_rows_, &border_, &etas_, m_});
-    }
-    offsets_.resize(levels_.size());
-    std::size_t total = 0;
-    std::size_t max_m = 0;
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-      offsets_[i] = static_cast<std::ptrdiff_t>(total);
-      total += static_cast<std::size_t>(levels_[i].m);
-      max_m = std::max(max_m, static_cast<std::size_t>(levels_[i].m));
-    }
-    bufA_.resize(total);
-    bufB_.resize(total);
-    work_.resize(max_m);
-  }
-
-  bool own_mode_ = true;
-  bool valid_ = false;
-  int m_ = 0;
-  SparseLu own_lu_;
-  FactorRef inherited_;
-  std::vector<int> old_rows_;
-  std::vector<FactorSnapshot::BorderRow> border_;
+  SparseLu lu_;
   EtaFile etas_;
-  std::vector<Level> levels_;
-  std::vector<const FactorSnapshot*> chain_;
-  std::vector<std::ptrdiff_t> offsets_;
-  std::vector<double> bufA_, bufB_, work_;
+  std::vector<double> work_;
 };
 
 /// Per-thread scratch for the sparse engine.  Branch-and-bound issues
@@ -1146,7 +854,7 @@ class SparseSimplex {
     ws_.cb.assign(m_, 0.0);
   }
 
-  LpSolution run(const Basis* warm, const WarmFactor* wf) {
+  LpSolution run(const Basis* warm) {
     LpSolution out;
 
     ws_.cost.assign(total_, 0.0);
@@ -1156,7 +864,7 @@ class SparseSimplex {
 
     WarmMode mode = WarmMode::kCold;
     if (warm != nullptr && !warm->empty()) {
-      mode = prepare_warm(*warm, wf, ws_.cost, out);
+      mode = prepare_warm(*warm, ws_.cost);
     }
     out.warm_used = mode != WarmMode::kCold;
     out.warm_phase1_skipped = mode != WarmMode::kCold;
@@ -1220,12 +928,7 @@ class SparseSimplex {
       if (opts_.capture_basis) {
         capture_basis(out.basis);
       }
-      if (opts_.capture_factor && wf != nullptr &&
-          wf->row_keys.size() == m_ && ws_.factor.valid()) {
-        capture_factor(out, wf->row_keys);
-      }
     }
-    ws_.factor.release();  // drop inherited refs; keep buffer capacity
     return out;
   }
 
@@ -1238,7 +941,6 @@ class SparseSimplex {
     out.refactorizations = refactorizations_;
     out.eta_updates = eta_updates_;
     out.bound_flips = bound_flips_;
-    out.factor_inherited = factor_inherited_;
     out.factor_seconds = factor_seconds_;
     out.update_seconds = update_seconds_;
   }
@@ -1384,8 +1086,8 @@ class SparseSimplex {
   /// Absorb a pivot at basis position r: try a product-form update first
   /// (w must be the FTRAN image of the new basic column through the
   /// current factor); on a refused (unstable) eta, or once the
-  /// deterministic budget trips -- eta count across the whole stack, or
-  /// eta fill beyond eta_fill_factor x base fill plus a per-row allowance
+  /// deterministic budget trips -- eta count, or eta fill beyond
+  /// eta_fill_factor x base fill plus a per-row allowance
   /// -- rebuild the factorization of the *new* basis.  Returns false only
   /// when that rebuild finds the basis singular.
   bool pivot_factor_update(int r) {
@@ -1412,121 +1114,7 @@ class SparseSimplex {
     return true;
   }
 
-  /// Validate and adopt an inherited snapshot: every snapshot row must
-  /// still exist (by key) with byte-identical coefficients (by signature),
-  /// the remapped snapshot basis plus the new rows' slacks must equal the
-  /// warm candidate set, and the stack must have eta/depth headroom.
-  /// Anything else declines -- a declined handoff costs one fresh
-  /// factorization, an invalid accepted one would corrupt the solve.
-  bool try_adopt(const FactorSnapshot& snap,
-                 std::span<const std::uint64_t> keys,
-                 const std::vector<std::size_t>& candidates) {
-    if (snap.n != n_ || keys.size() != m_) {
-      return false;
-    }
-    if (snap.levels + 1 > opts_.max_factor_levels) {
-      return false;
-    }
-    if (snap.total_etas >= opts_.refactor_interval) {
-      return false;
-    }
-    const std::size_t pm = static_cast<std::size_t>(snap.m);
-    if (pm > m_) {
-      return false;
-    }
-    std::unordered_map<std::uint64_t, int> row_of;
-    row_of.reserve(m_);
-    for (std::size_t i = 0; i < m_; ++i) {
-      row_of.emplace(keys[i], static_cast<int>(i));  // first wins
-    }
-    std::vector<char> matched(m_, 0);
-    std::vector<int> old_rows(pm);
-    for (std::size_t i = 0; i < pm; ++i) {
-      const auto it = row_of.find(snap.row_keys[i]);
-      if (it == row_of.end()) {
-        return false;
-      }
-      const int t = it->second;
-      if (matched[static_cast<std::size_t>(t)]) {
-        return false;
-      }
-      if (row_signature(problem_.rows()[static_cast<std::size_t>(t)].coeffs) !=
-          snap.row_sigs[i]) {
-        return false;
-      }
-      matched[static_cast<std::size_t>(t)] = 1;
-      old_rows[i] = t;
-    }
-    // The expected basic set: snapshot members remapped onto this problem,
-    // plus the basic slack of every border (new) row.
-    std::vector<char> expected(n_ + m_, 0);
-    for (std::size_t p = 0; p < pm; ++p) {
-      const std::uint64_t id = snap.basis_ids[p];
-      if (id & kSlackBit) {
-        const auto it = row_of.find(id & ~kSlackBit);
-        if (it == row_of.end() ||
-            !matched[static_cast<std::size_t>(it->second)]) {
-          return false;
-        }
-        expected[n_ + static_cast<std::size_t>(it->second)] = 1;
-      } else {
-        expected[static_cast<std::size_t>(id)] = 1;
-      }
-    }
-    std::vector<FactorSnapshot::BorderRow> border;
-    border.reserve(m_ - pm);
-    for (std::size_t t = 0; t < m_; ++t) {
-      if (matched[t]) {
-        continue;
-      }
-      FactorSnapshot::BorderRow br;
-      br.row = static_cast<int>(t);
-      br.slack_coeff = -1.0;
-      const auto& coeffs = problem_.rows()[t].coeffs;
-      for (std::size_t p = 0; p < pm; ++p) {
-        const std::uint64_t id = snap.basis_ids[p];
-        if (id & kSlackBit) {
-          continue;  // a slack is a singleton in its own (matched) row
-        }
-        const double c = coeffs[static_cast<std::size_t>(id)];
-        if (c != 0.0) {
-          br.terms.emplace_back(static_cast<int>(p), c);
-        }
-      }
-      expected[n_ + t] = 1;
-      border.push_back(std::move(br));
-    }
-    // candidates has exactly m_ distinct members (the caller checked), so
-    // subset + equal cardinality => set equality.
-    for (const std::size_t c : candidates) {
-      if (!expected[c]) {
-        return false;
-      }
-    }
-    // Adopt: basis order becomes snapshot positions then border slacks.
-    for (std::size_t p = 0; p < pm; ++p) {
-      const std::uint64_t id = snap.basis_ids[p];
-      ws_.basis[p] = (id & kSlackBit)
-                         ? n_ + static_cast<std::size_t>(
-                                    row_of.find(id & ~kSlackBit)->second)
-                         : static_cast<std::size_t>(id);
-    }
-    for (std::size_t j = 0; j < border.size(); ++j) {
-      ws_.basis[pm + j] = n_ + static_cast<std::size_t>(border[j].row);
-    }
-    // The snapshot chain is shared by reference; only the border extension
-    // is fresh state.
-    FactorRef keep;
-    if (wf_keepalive_ != nullptr) {
-      keep = *wf_keepalive_;
-    }
-    ws_.factor.adopt(std::move(keep), std::move(old_rows), std::move(border),
-                     static_cast<int>(m_));
-    return true;
-  }
-
-  WarmMode prepare_warm(const Basis& warm, const WarmFactor* wf,
-                        const Vector& phase2_cost, LpSolution& out) {
+  WarmMode prepare_warm(const Basis& warm, const Vector& phase2_cost) {
     if (warm.cols.size() != n_ || warm.row_slacks.size() != m_) {
       return WarmMode::kCold;
     }
@@ -1574,28 +1162,13 @@ class SparseSimplex {
         ws_.value[a] = 0.0;
       }
       // One factorization serves both FTRAN and BTRAN here (unlike the
-      // dense path, which must prove both orientations factor), obtained
-      // either by adopting the parent's snapshot or by factoring fresh.
-      bool have_factor = false;
-      bool inherited = false;
-      if (wf != nullptr && wf->snapshot != nullptr &&
-          wf->row_keys.size() == m_) {
-        wf_keepalive_ = &wf->snapshot;
-        inherited = try_adopt(*wf->snapshot, wf->row_keys, candidates);
-        wf_keepalive_ = nullptr;
-        have_factor = inherited;
-      }
-      if (!have_factor) {
-        have_factor = factorize_current();
-      }
-      if (have_factor) {
+      // dense path, which must prove both orientations factor).
+      if (factorize_current()) {
         refresh_basics();
         if (basics_feasible()) {
-          factor_inherited_ = inherited;
           return WarmMode::kReuse;
         }
         if (dual_repair(phase2_cost)) {
-          factor_inherited_ = inherited;
           return WarmMode::kDualRepair;
         }
       }
@@ -1605,8 +1178,6 @@ class SparseSimplex {
       init_nonbasic(j);
     }
     init_basis();
-    ws_.factor.release();
-    (void)out;
     return WarmMode::kCold;
   }
 
@@ -1747,29 +1318,6 @@ class SparseSimplex {
     for (std::size_t i = 0; i < m_; ++i) {
       out.row_slacks[i] = to_basis(ws_.status[n_ + i]);
     }
-  }
-
-  /// Package the maintained factor for the next generation.  Declined when
-  /// an artificial is still basic (the same condition that blocks basis
-  /// capture: such a basis is not reusable).
-  void capture_factor(LpSolution& out,
-                      std::span<const std::uint64_t> keys) const {
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (ws_.status[n_ + m_ + i] == VarStatus::kBasic) {
-        return;
-      }
-    }
-    std::vector<std::uint64_t> sigs(m_);
-    for (std::size_t i = 0; i < m_; ++i) {
-      sigs[i] = row_signature(problem_.rows()[i].coeffs);
-    }
-    std::vector<std::uint64_t> ids(m_);
-    for (std::size_t i = 0; i < m_; ++i) {
-      const std::size_t j = ws_.basis[i];
-      ids[i] = j < n_ ? static_cast<std::uint64_t>(j)
-                      : (keys[j - n_] | kSlackBit);
-    }
-    out.factor = ws_.factor.capture(n_, keys, std::move(sigs), std::move(ids));
   }
 
   LpStatus optimize(const Vector& cost) {
@@ -1935,13 +1483,11 @@ class SparseSimplex {
   std::size_t n_ = 0;
   std::size_t m_ = 0;
   std::size_t total_ = 0;
-  const FactorRef* wf_keepalive_ = nullptr;  // snapshot ref during adoption
   int iterations_ = 0;
   long factorizations_ = 0;
   long refactorizations_ = 0;
   long eta_updates_ = 0;
   long bound_flips_ = 0;
-  bool factor_inherited_ = false;
   double factor_seconds_ = 0.0;
   double update_seconds_ = 0.0;
   bool numeric_failure_ = false;
@@ -1954,7 +1500,7 @@ struct WorkspaceGuard {
 };
 
 LpSolution solve_impl(const LpProblem& problem, const SimplexOptions& options,
-                      const Basis* warm, const WarmFactor* wf) {
+                      const Basis* warm) {
   if (problem.num_vars() == 0) {
     LpSolution out;
     out.status = LpStatus::kOptimal;
@@ -1997,11 +1543,11 @@ LpSolution solve_impl(const LpProblem& problem, const SimplexOptions& options,
     ws->in_use = true;
     WorkspaceGuard guard{ws};
     SparseSimplex simplex(problem, options, *ws);
-    out = simplex.run(warm, wf);
+    out = simplex.run(warm);
     if (simplex.numeric_failure()) {
       HSLB_ASSERT(warm != nullptr && !warm->empty(), "singular simplex basis");
       SparseSimplex retry(problem, options, *ws);
-      out = retry.run(nullptr, wf);
+      out = retry.run(nullptr);
       HSLB_ASSERT(!retry.numeric_failure(), "singular simplex basis");
     }
   }
@@ -2042,9 +1588,6 @@ LpSolution solve_impl(const LpProblem& problem, const SimplexOptions& options,
     if (out.bt_fallbacks > 0) {
       metrics->counter("lp.simplex.bt_fallbacks")
           .add(static_cast<double>(out.bt_fallbacks));
-    }
-    if (out.factor_inherited) {
-      metrics->counter("lp.simplex.factor_inherits").add(1.0);
     }
   }
   return out;
@@ -2093,18 +1636,12 @@ Basis map_basis(const Basis& from, std::span<const std::uint64_t> from_keys,
 }
 
 LpSolution solve(const LpProblem& problem, const SimplexOptions& options) {
-  return solve_impl(problem, options, nullptr, nullptr);
+  return solve_impl(problem, options, nullptr);
 }
 
 LpSolution resolve_from_basis(const LpProblem& problem, const Basis& warm,
                               const SimplexOptions& options) {
-  return solve_impl(problem, options, &warm, nullptr);
-}
-
-LpSolution resolve_from_basis(const LpProblem& problem, const Basis& warm,
-                              const WarmFactor& factor,
-                              const SimplexOptions& options) {
-  return solve_impl(problem, options, &warm, &factor);
+  return solve_impl(problem, options, &warm);
 }
 
 }  // namespace hslb::lp

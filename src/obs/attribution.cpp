@@ -162,8 +162,6 @@ Attribution attribute_phases(const std::vector<TraceEvent>& events,
     out.lp.eta_updates += static_cast<long>(arg_number(e, "eta_updates"));
     out.lp.refactorizations +=
         static_cast<long>(arg_number(e, "refactorizations"));
-    out.lp.factor_inherits +=
-        static_cast<long>(arg_number(e, "factor_inherits"));
     out.lp.bt_fallbacks += static_cast<long>(arg_number(e, "bt_fallbacks"));
   }
 
@@ -337,8 +335,10 @@ common::Table attribution_table(const Attribution& attribution) {
   table.set_align(0, common::Align::kLeft);
   for (const PercentileAttribution& pa : attribution.percentiles) {
     table.add_row();
-    table.cell("p" + std::to_string(static_cast<long long>(
-                         std::round(pa.quantile * 100.0))));
+    std::string label = "p";
+    label += std::to_string(
+        static_cast<long long>(std::round(pa.quantile * 100.0)));
+    table.cell(std::move(label));
     table.cell(pa.latency_ms, 3);
     for (std::size_t p = 0; p < kPhaseCount; ++p) {
       table.cell(100.0 * pa.share[p], 1);
@@ -388,8 +388,6 @@ report::Json attribution_json(const Attribution& attribution) {
   lp.set("eta_updates", report::Json::integer(attribution.lp.eta_updates));
   lp.set("refactorizations",
          report::Json::integer(attribution.lp.refactorizations));
-  lp.set("factor_inherits",
-         report::Json::integer(attribution.lp.factor_inherits));
   lp.set("bt_fallbacks", report::Json::integer(attribution.lp.bt_fallbacks));
   out.set("lp_engine", std::move(lp));
 

@@ -59,7 +59,6 @@ struct SolveOutcome {
   long nodes_explored = 0;
   long lp_solves = 0;
   long simplex_iterations = 0;
-  long factor_inherits = 0;
   double wall_seconds = 0.0;
 };
 
@@ -90,7 +89,6 @@ SolveOutcome solve_allocation(const scen::Scenario& scenario,
   out.nodes_explored = result.stats.nodes_explored;
   out.lp_solves = result.stats.lp_solves;
   out.simplex_iterations = result.stats.simplex_iterations;
-  out.factor_inherits = result.stats.lp_factor_inherits;
   out.warm_primes = result.stats.warm_incumbent_primes;
   out.warm_used = result.stats.warm_lp_solves > 0;
 
@@ -235,7 +233,7 @@ HorizonResult run_horizon(const scen::Scenario& scenario,
 
     // Re-fit and re-solve.  The refit scenario scales every base curve by
     // its tracked estimate; the warm path re-enters the solver from the
-    // previous incumbent/basis/factor, the cold path from scratch.
+    // previous incumbent/basis, the cold path from scratch.
     const scen::Scenario refit = scaled_scenario(base, tracked_scales);
     minlp::WarmStart captured;
     SolveOutcome candidate =
@@ -243,7 +241,6 @@ HorizonResult run_horizon(const scen::Scenario& scenario,
     out.resolve_nodes += candidate.nodes_explored;
     out.resolve_lp_solves += candidate.lp_solves;
     out.resolve_simplex_iterations += candidate.simplex_iterations;
-    out.resolve_factor_inherits += candidate.factor_inherits;
     out.resolve_warm_primes += candidate.warm_primes;
     out.resolve_wall_seconds += candidate.wall_seconds;
     if (candidate.heuristic) {
@@ -277,7 +274,6 @@ HorizonResult run_horizon(const scen::Scenario& scenario,
       event.nodes_explored = candidate.nodes_explored;
       event.lp_solves = candidate.lp_solves;
       event.simplex_iterations = candidate.simplex_iterations;
-      event.factor_inherits = candidate.factor_inherits;
       event.objective = candidate_refit_objective;
       event.wall_seconds = candidate.wall_seconds;
       event.allocation = candidate.allocation;

@@ -29,6 +29,14 @@ std::string f(double value, int precision) {
 /// Integer-valued cells (node counts, B&B nodes) rendered without decimals.
 std::string n(double value) { return common::format_fixed(value, 0); }
 
+/// A non-negative excess as a signed percent cell ("+12 %").
+std::string plus_pct(double value) {
+  std::string out = "+";
+  out += f(value, 0);
+  out += " %";
+  return out;
+}
+
 /// Percent improvement of `candidate` over `baseline` (positive = faster).
 double gain_pct(double candidate, double baseline) {
   return 100.0 * (1.0 - candidate / baseline);
@@ -381,8 +389,7 @@ std::string render_experiments(
       max3 = std::max(max3, worse3);
       max2 = std::max(max2, worse2);
       table.row({std::to_string(total), f(l1, 0) + " s", f(l2, 0) + " s",
-                 f(l3, 0) + " s", "+" + f(worse3, 0) + " %",
-                 "+" + f(worse2, 0) + " %"});
+                 f(l3, 0) + " s", plus_pct(worse3), plus_pct(worse2)});
     }
     out += table.str();
     out += "\nLayout 3 is " + f(min3, 0) + "–" + f(max3, 0) +
@@ -446,7 +453,7 @@ std::string render_experiments(
            " B&B nodes\n  at N=128 and needs no NLP subproblem solves.\n"
            "* FBBT presolve: " +
            n(a.value("presolve_on", 128, "tightenings")) +
-           " bound tightenings at N=128 trim the search from " +
+           " bound tightenings at N=128 take the search from " +
            n(a.value("presolve_off", 128, "bb_nodes")) + " nodes / " +
            n(a.value("presolve_off", 128, "lp_solves")) +
            " LPs to\n  " + n(a.value("presolve_on", 128, "bb_nodes")) +
@@ -683,7 +690,7 @@ std::string render_experiments(
         n(a.value("warm", 0, "resolve_simplex_iterations")) +
         "\nsimplex pivots where cold needs " +
         n(a.value("cold", 0, "resolve_simplex_iterations")) +
-        " — the incumbent/basis/factor handoff at\nwork. The detector "
+        " — the incumbent/basis warm start at\nwork. The detector "
         "scores precision " + f(a.value("detector", 0, "precision"), 2) +
         ", recall " + f(a.value("detector", 0, "recall"), 2) +
         " against the scripted\nshifts (" +

@@ -520,7 +520,6 @@ SolveOutcome AllocationService::attempt_exact(const Job& job,
                                               double* sim_stall_seconds,
                                               int* last_attempt) {
   if (chaos_ == nullptr) {
-    *last_attempt = next_attempt(job.key);
     return execute(job);
   }
   const std::uint64_t key_hash = ChaosInjector::key_hash(job.key);
@@ -910,6 +909,10 @@ ServiceStats AllocationService::stats() const {
   out.served_heuristic = served_heuristic_.load(std::memory_order_relaxed);
   out.hedged_retries = hedged_retries_.load(std::memory_order_relaxed);
   out.chaos_injected = chaos_injected_.load(std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lock(attempt_mutex_);
+    out.attempt_keys = static_cast<long long>(attempts_.size());
+  }
   return out;
 }
 

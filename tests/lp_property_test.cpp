@@ -372,9 +372,8 @@ INSTANTIATE_TEST_SUITE_P(WarmStarts, SimplexWarmStartProperty,
 
 // ---------------------------------------------------------------------------
 // Sparse-engine properties: the maintained-LU engine must agree with the
-// dense baseline, eta-updated solves must agree with fresh factorizations
-// over whatever pivot sequence the instance produces, and a factor handoff
-// can never change the optimum.
+// dense baseline, and eta-updated solves must agree with fresh
+// factorizations over whatever pivot sequence the instance produces.
 // ---------------------------------------------------------------------------
 
 class SimplexSparseEngineProperty : public ::testing::TestWithParam<int> {};
@@ -421,91 +420,8 @@ TEST_P(SimplexSparseEngineProperty, EtaUpdatedSolvesMatchFreshFactorization) {
   }
 }
 
-TEST_P(SimplexSparseEngineProperty, FactorHandoffResolvesWithoutFreshLu) {
-  common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 93911 + 31);
-  const LpProblem p = random_feasible(rng);
-  std::vector<std::uint64_t> keys(p.rows().size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = static_cast<std::uint64_t>(i);
-  }
-  SimplexOptions capture;
-  capture.capture_basis = true;
-  capture.capture_factor = true;
-  const LpSolution cold =
-      resolve_from_basis(p, Basis{}, WarmFactor{nullptr, keys}, capture);
-  ASSERT_EQ(cold.status, LpStatus::kOptimal);
-  if (cold.basis.empty() || cold.factor == nullptr) {
-    return;  // an artificial stayed basic; nothing to hand off
-  }
-  // Re-solving the identical problem from the captured basis + factor must
-  // adopt the snapshot: zero fresh factorizations, same optimum.
-  const LpSolution warm =
-      resolve_from_basis(p, cold.basis, WarmFactor{cold.factor, keys}, capture);
-  ASSERT_EQ(warm.status, LpStatus::kOptimal);
-  EXPECT_TRUE(warm.factor_inherited);
-  EXPECT_EQ(warm.factorizations, 0)
-      << "an adopted factor must not be rebuilt on the identical problem";
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
-  EXPECT_TRUE(satisfies(p, warm.x));
-}
-
 INSTANTIATE_TEST_SUITE_P(SparseEngine, SimplexSparseEngineProperty,
                          ::testing::Range(0, 40));
-
-TEST(SimplexSparseEngine, BorderedHandoffSurvivesAddedCutRows) {
-  // Parent solve captures a factor; the child appends a non-binding row
-  // under a fresh key (the OA-cut shape).  The bordered adoption must engage
-  // on a healthy fraction of instances, and the optimum must match a cold
-  // solve on every one of them whether it engaged or not.
-  long inherits = 0;
-  for (int trial = 0; trial < 40; ++trial) {
-    common::Rng rng(static_cast<std::uint64_t>(trial) * 131071 + 11);
-    const LpProblem p = random_feasible(rng);
-    std::vector<std::uint64_t> from_keys(p.rows().size());
-    for (std::size_t i = 0; i < from_keys.size(); ++i) {
-      from_keys[i] = static_cast<std::uint64_t>(i);
-    }
-    SimplexOptions capture;
-    capture.capture_basis = true;
-    capture.capture_factor = true;
-    const LpSolution cold =
-        resolve_from_basis(p, Basis{}, WarmFactor{nullptr, from_keys}, capture);
-    ASSERT_EQ(cold.status, LpStatus::kOptimal);
-    if (cold.basis.empty() || cold.factor == nullptr) {
-      continue;
-    }
-
-    LpProblem grown;
-    for (std::size_t j = 0; j < p.num_vars(); ++j) {
-      grown.add_variable(p.col_lower()[j], p.col_upper()[j], p.cost()[j]);
-    }
-    std::vector<std::uint64_t> to_keys = from_keys;
-    for (const Row& row : p.rows()) {
-      Vector coeffs = row.coeffs;
-      grown.add_row(std::move(coeffs), row.lower, row.upper);
-    }
-    Vector cut(p.num_vars());
-    double at_opt = 0.0;
-    for (std::size_t j = 0; j < p.num_vars(); ++j) {
-      cut[j] = rng.uniform(-2.0, 2.0);
-      at_opt += cut[j] * cold.x[j];
-    }
-    grown.add_row(std::move(cut), -kInf, at_opt + rng.uniform(0.1, 1.0));
-    to_keys.push_back(1u << 20);
-
-    const Basis mapped = map_basis(cold.basis, from_keys, to_keys);
-    const LpSolution warm = resolve_from_basis(
-        grown, mapped, WarmFactor{cold.factor, to_keys}, capture);
-    const LpSolution reference = solve(grown);
-    ASSERT_EQ(reference.status, LpStatus::kOptimal);
-    ASSERT_EQ(warm.status, LpStatus::kOptimal);
-    EXPECT_NEAR(warm.objective, reference.objective, 1e-6);
-    EXPECT_TRUE(satisfies(grown, warm.x));
-    inherits += warm.factor_inherited ? 1 : 0;
-  }
-  EXPECT_GT(inherits, 0)
-      << "the bordered parent->child adoption never engaged across 40 trials";
-}
 
 // ---------------------------------------------------------------------------
 // Stability fallback regressions: refused eta updates must refactorize, and

@@ -3,12 +3,15 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "hslb/cesm/campaign.hpp"
 #include "hslb/hslb/manual_tuner.hpp"
 #include "hslb/hslb/objectives.hpp"
 #include "hslb/hslb/pipeline.hpp"
+#include "hslb/perf/fit.hpp"
 
 namespace hslb::core {
 namespace {
@@ -139,6 +142,29 @@ TEST(Pipeline, FromSamplesSkipsGatherAndExecute) {
   EXPECT_NEAR(replay.predicted_total, full.predicted_total,
               1e-6 * full.predicted_total);
   EXPECT_EQ(replay.actual_total, 0.0);  // no execute step
+}
+
+TEST(Pipeline, SequentialGroupFitsSolveToOptimalityAt1208) {
+  // Regression: on these fits a node LP once pivoted into a singular basis
+  // and its cold retry threw "singular simplex basis".
+  const cesm::CaseConfig case_config = cesm::one_degree_case();
+  const std::vector<int> totals = {128, 256, 512, 1024, 2048};
+  const cesm::CampaignResult campaign = cesm::gather_benchmarks(
+      case_config, LayoutKind::kSequentialGroup, totals, 2115);
+  std::map<ComponentKind, perf::PerfModel> fits;
+  for (const ComponentKind kind : cesm::kModeledComponents) {
+    const cesm::Series series = cesm::series_for(campaign.samples, kind);
+    fits[kind] = perf::fit(series.nodes, series.seconds).model;
+  }
+  PipelineConfig config;
+  config.case_config = case_config;
+  config.layout = LayoutKind::kSequentialGroup;
+  config.total_nodes = 1208;
+  const HslbResult result = run_hslb_from_fits(config, fits);
+  ASSERT_EQ(result.solver_result.status, minlp::MinlpStatus::kOptimal);
+  constexpr double kOptimum = 93.983710821;
+  EXPECT_NEAR(result.solver_result.objective, kOptimum,
+              config.solver.rel_gap * kOptimum);
 }
 
 TEST(Pipeline, ObservabilityCapturesAllFourPhases) {

@@ -136,8 +136,9 @@ TEST(ChaosInjector, UniformSplitCoversEveryClassAtRoughlyTheAskedRate) {
   std::map<ChaosKind, int> tally;
   constexpr int kDraws = 4000;
   for (int k = 0; k < kDraws; ++k) {
-    ++tally[injector.draw_solve(
-        ChaosInjector::key_hash("k" + std::to_string(k)), 0)];
+    std::string key = "k";
+    key += std::to_string(k);
+    ++tally[injector.draw_solve(ChaosInjector::key_hash(key), 0)];
   }
   // Every solve-path class fires, and the total is near the configured rate.
   EXPECT_GT(tally[ChaosKind::kSolveException], 0);

@@ -422,6 +422,29 @@ TEST(Service, ShutdownResolvesQueuedRequests) {
   EXPECT_EQ(late.error().code, ErrorCode::kShutdown);
 }
 
+TEST(Service, AttemptTableStaysEmptyWithoutChaos) {
+  // The per-key attempt table only feeds chaos replay.  With chaos off, a
+  // stream of distinct cold keys must leave it empty (a long-running server
+  // would otherwise keep one entry per key forever); with chaos on, it
+  // tracks every solved key.
+  constexpr int kKeys = 36;
+  const auto attempt_keys = [&](const ChaosSpec& chaos) {
+    ServiceConfig config = small_service(2);
+    config.chaos = chaos;
+    AllocationService service(config);
+    for (int k = 0; k < kKeys; ++k) {
+      EXPECT_TRUE(service.solve(reference_request(64 + 4 * k)).has_value());
+    }
+    EXPECT_EQ(service.stats().solved, kKeys);
+    return service.stats().attempt_keys;
+  };
+  EXPECT_EQ(attempt_keys(ChaosSpec{}), 0);
+  ChaosSpec armed;  // enabled, but every attempt sits in the exempt prefix
+  armed.solve_exception_prob = 0.5;
+  armed.exempt_first_attempts = 1 << 20;
+  EXPECT_EQ(attempt_keys(armed), kKeys);
+}
+
 TEST(Service, ConcurrentMixedLoadIsConsistent) {
   // 4 workers x 6 client threads hammering 6 distinct questions: every
   // future resolves, per-key answers are identical, and the solver never

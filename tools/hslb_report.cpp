@@ -58,7 +58,9 @@ std::map<std::string, std::string> parse_flags(
     if (arg.rfind("--", 0) == 0) {
       const auto eq = arg.find('=');
       if (eq == std::string::npos) {
-        flags[arg.substr(2)] = "1";
+        // Move-assign a string: GCC 12 Release builds report a false
+        // -Wrestrict overlap on assigning a literal to a map slot.
+        flags[arg.substr(2)] = std::string("1");
       } else {
         flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
       }

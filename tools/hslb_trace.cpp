@@ -123,7 +123,6 @@ int main(int argc, char** argv) {
                 << lp.update_ms << " ms, pivot " << lp.pivot_ms << " ms; "
                 << lp.eta_updates << " eta update(s), "
                 << lp.refactorizations << " refactorization(s), "
-                << lp.factor_inherits << " factor inherit(s), "
                 << lp.bt_fallbacks << " B^T fallback(s)"
                 << (lp.bt_fallbacks > 0
                         ? "  [dense B^T solves left the factored path]"
