@@ -1,24 +1,50 @@
 // Markowitz-pivoting sparse LU and the product-form eta file.
 //
 // The factorization is a right-looking elimination over compacted column
-// lists.  Per step it rescans the active submatrix for counts and column
-// maxima -- O(nnz) per step, quadratic-ish overall -- which is deliberately
-// simple: basis sizes here are tens to a few hundred rows, factorizations
-// are the *rare* event the eta file exists to amortize, and the rescan
-// keeps the pivot choice a pure function of the matrix (no priority-queue
-// state to order-depend on).
+// lists.  The pivot rule is the plain Markowitz one: the smallest
+// (score, column, row) among threshold-admissible active entries, score =
+// (row count - 1) * (column count - 1).  Simplex bases are mostly slack and
+// artificial singletons, so most steps have a score-0 pivot, and the
+// elimination is organized to find those without scanning:
+//
+//  * each column keeps only its active entries, a row -> columns index
+//    reaches the columns a pivot row touches, and row counts and column
+//    maxima are updated as each pivot row and column leave;
+//  * a min-heap holds every column that may offer a score-0 pivot (a
+//    column singleton, or an admissible entry in a row singleton).  A
+//    column is queued whenever its entries, its count or the count of one
+//    of its rows changes, and is checked when it comes off the heap, so the
+//    first column that passes is the smallest one with a score-0 pivot;
+//  * only when the heap runs dry -- on the nucleus that is left once the
+//    singletons are gone -- does a step scan every active entry.
+//
+// A step therefore costs work in proportion to its pivot row and column.
+// The pivot sequence, and with it every L and U entry and its storage
+// order, is the one the rule picks when it rescans the whole active
+// submatrix at every step: no choice depends on the queue's history.
 #include "hslb/linalg/sparse.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <utility>
+#include <functional>
 
 #include "hslb/common/error.hpp"
 
 namespace hslb::linalg {
 
+void SparseLu::enqueue(int j) {
+  auto& queued = queued_[static_cast<std::size_t>(j)];
+  if (queued == 0) {
+    queued = 1;
+    queue_.push_back(j);
+    std::push_heap(queue_.begin(), queue_.end(), std::greater<>());
+  }
+}
+
 bool SparseLu::factorize(const SparseColumns& b, const SparseLuOptions& opts) {
   const int m = b.rows();
   HSLB_ASSERT(b.cols() == m, "SparseLu requires a square matrix");
+  const auto sm = static_cast<std::size_t>(m);
   m_ = m;
   valid_ = false;
   l_start_.assign(1, 0);
@@ -27,189 +53,239 @@ bool SparseLu::factorize(const SparseColumns& b, const SparseLuOptions& opts) {
   l_value_.clear();
   u_index_.clear();
   u_value_.clear();
-  u_diag_.assign(static_cast<std::size_t>(m), 0.0);
-  row_at_.assign(static_cast<std::size_t>(m), 0);
-  col_at_.assign(static_cast<std::size_t>(m), 0);
+  u_diag_.assign(sm, 0.0);
+  row_at_.assign(sm, 0);
+  col_at_.assign(sm, 0);
   if (m == 0) {
     valid_ = true;
     return true;
   }
 
-  // Active working columns, compacted as rows are eliminated.
-  std::vector<std::vector<std::pair<int, double>>> cols(
-      static_cast<std::size_t>(m));
+  if (cols_.size() < sm) {
+    cols_.resize(sm);
+    row_cols_.resize(sm);
+  }
+  row_count_.assign(sm, 0);
+  col_max_.assign(sm, 0.0);
+  pos_of_row_.assign(sm, -1);
+  pos_of_col_.assign(sm, -1);
+  mark_.assign(sm, -1);
+  queued_.assign(sm, 0);
+  queue_.clear();
+  u_step_.clear();
+  u_col_.clear();
+  u_val_.clear();
+  const auto column_max = [](const std::vector<Entry>& col) {
+    double cm = 0.0;
+    for (const Entry& e : col) {
+      const double av = std::fabs(e.value);
+      if (av > cm) {
+        cm = av;
+      }
+    }
+    return cm;
+  };
+  for (std::size_t i = 0; i < sm; ++i) {
+    row_cols_[i].clear();
+  }
   for (int j = 0; j < m; ++j) {
+    auto& cj = cols_[static_cast<std::size_t>(j)];
+    cj.clear();
     const auto idx = b.col_index(j);
     const auto val = b.col_value(j);
-    cols[static_cast<std::size_t>(j)].reserve(idx.size());
     for (std::size_t t = 0; t < idx.size(); ++t) {
-      cols[static_cast<std::size_t>(j)].emplace_back(idx[t], val[t]);
+      cj.push_back({idx[t], val[t]});
+      ++row_count_[static_cast<std::size_t>(idx[t])];
+      row_cols_[static_cast<std::size_t>(idx[t])].push_back(j);
+    }
+    col_max_[static_cast<std::size_t>(j)] = column_max(cj);
+    if (cj.size() == 1) {
+      enqueue(j);
+    }
+  }
+  for (std::size_t i = 0; i < sm; ++i) {
+    if (row_count_[i] == 1) {
+      enqueue(row_cols_[i].front());
     }
   }
 
-  std::vector<char> row_done(static_cast<std::size_t>(m), 0);
-  std::vector<char> col_done(static_cast<std::size_t>(m), 0);
-  std::vector<int> row_count(static_cast<std::size_t>(m), 0);
-  std::vector<int> col_count(static_cast<std::size_t>(m), 0);
-  std::vector<double> col_max(static_cast<std::size_t>(m), 0.0);
-  std::vector<int> pos_of_row(static_cast<std::size_t>(m), -1);
-  std::vector<int> pos_of_col(static_cast<std::size_t>(m), -1);
-  std::vector<int> mark(static_cast<std::size_t>(m), -1);
-  // U entries recorded as (pivot step, original column, value); converted
-  // to column-compressed form once the permutation is complete.
-  std::vector<int> u_step, u_col;
-  std::vector<double> u_val;
-  std::vector<std::pair<int, double>> scratch;
+  const auto threshold = [&](int j) {
+    return std::max(opts.abs_pivot_tol,
+                    opts.rel_pivot_tol * col_max_[static_cast<std::size_t>(j)]);
+  };
 
   for (int k = 0; k < m; ++k) {
-    // Exact active counts and column maxima (rescanned, see header note).
-    std::fill(row_count.begin(), row_count.end(), 0);
-    for (int j = 0; j < m; ++j) {
-      if (col_done[static_cast<std::size_t>(j)]) {
-        continue;
-      }
-      int cc = 0;
-      double cm = 0.0;
-      for (const auto& [i, v] : cols[static_cast<std::size_t>(j)]) {
-        if (row_done[static_cast<std::size_t>(i)]) {
-          continue;
-        }
-        ++cc;
-        ++row_count[static_cast<std::size_t>(i)];
-        const double av = std::fabs(v);
-        if (av > cm) {
-          cm = av;
-        }
-      }
-      col_count[static_cast<std::size_t>(j)] = cc;
-      col_max[static_cast<std::size_t>(j)] = cm;
-    }
-
-    // Markowitz choice: smallest (fill bound, column, row) among entries
-    // passing the threshold test -- a total order independent of storage
-    // order, so the factorization is deterministic.
     int piv_row = -1;
     int piv_col = -1;
-    long piv_score = 0;
     double piv_value = 0.0;
-    for (int j = 0; j < m; ++j) {
-      if (col_done[static_cast<std::size_t>(j)]) {
+
+    // Score-0 pivot: the smallest queued column that still offers one,
+    // at its smallest such row.
+    while (piv_row < 0 && !queue_.empty()) {
+      std::pop_heap(queue_.begin(), queue_.end(), std::greater<>());
+      const int j = queue_.back();
+      queue_.pop_back();
+      queued_[static_cast<std::size_t>(j)] = 0;
+      if (pos_of_col_[static_cast<std::size_t>(j)] >= 0) {
         continue;
       }
-      const double thresh = std::max(
-          opts.abs_pivot_tol,
-          opts.rel_pivot_tol * col_max[static_cast<std::size_t>(j)]);
-      for (const auto& [i, v] : cols[static_cast<std::size_t>(j)]) {
-        if (row_done[static_cast<std::size_t>(i)] || std::fabs(v) < thresh) {
+      const auto& cj = cols_[static_cast<std::size_t>(j)];
+      const bool singleton = cj.size() == 1;
+      const double thresh = threshold(j);
+      for (const Entry& e : cj) {
+        if (std::fabs(e.value) < thresh ||
+            (!singleton && row_count_[static_cast<std::size_t>(e.row)] != 1)) {
           continue;
         }
-        const long score =
-            static_cast<long>(row_count[static_cast<std::size_t>(i)] - 1) *
-            static_cast<long>(col_count[static_cast<std::size_t>(j)] - 1);
-        if (piv_row < 0 || score < piv_score ||
-            (score == piv_score &&
-             (j < piv_col || (j == piv_col && i < piv_row)))) {
-          piv_row = i;
+        if (piv_row < 0 || e.row < piv_row) {
+          piv_row = e.row;
           piv_col = j;
-          piv_score = score;
-          piv_value = v;
+          piv_value = e.value;
         }
       }
     }
+
+    // Nucleus: no score-0 pivot anywhere, so scan every active entry for
+    // the smallest (score, column, row).
     if (piv_row < 0) {
-      return false;  // no admissible pivot anywhere: numerically singular
+      long piv_score = 0;
+      for (int j = 0; j < m; ++j) {
+        if (pos_of_col_[static_cast<std::size_t>(j)] >= 0) {
+          continue;
+        }
+        const auto& cj = cols_[static_cast<std::size_t>(j)];
+        const double thresh = threshold(j);
+        for (const Entry& e : cj) {
+          if (std::fabs(e.value) < thresh) {
+            continue;
+          }
+          const long score =
+              static_cast<long>(row_count_[static_cast<std::size_t>(e.row)] -
+                                1) *
+              static_cast<long>(cj.size() - 1);
+          if (piv_row < 0 || score < piv_score ||
+              (score == piv_score &&
+               (j < piv_col || (j == piv_col && e.row < piv_row)))) {
+            piv_row = e.row;
+            piv_col = j;
+            piv_score = score;
+            piv_value = e.value;
+          }
+        }
+      }
+      if (piv_row < 0) {
+        return false;  // no admissible pivot anywhere: numerically singular
+      }
     }
 
     row_at_[static_cast<std::size_t>(k)] = piv_row;
     col_at_[static_cast<std::size_t>(k)] = piv_col;
-    pos_of_row[static_cast<std::size_t>(piv_row)] = k;
-    pos_of_col[static_cast<std::size_t>(piv_col)] = k;
-    row_done[static_cast<std::size_t>(piv_row)] = 1;
-    col_done[static_cast<std::size_t>(piv_col)] = 1;
+    pos_of_row_[static_cast<std::size_t>(piv_row)] = k;
+    pos_of_col_[static_cast<std::size_t>(piv_col)] = k;
     u_diag_[static_cast<std::size_t>(k)] = piv_value;
 
-    // L column k: the pivot column's remaining active entries, scaled.
+    // L column k: the pivot column's other entries, scaled.  The pivot
+    // column leaves the active submatrix, so each of their rows loses one.
     const std::size_t l_begin = l_index_.size();
-    for (const auto& [i, v] : cols[static_cast<std::size_t>(piv_col)]) {
-      if (!row_done[static_cast<std::size_t>(i)]) {
-        l_index_.push_back(i);  // original row id; remapped below
-        l_value_.push_back(v / piv_value);
+    for (const Entry& e : cols_[static_cast<std::size_t>(piv_col)]) {
+      if (e.row != piv_row) {
+        l_index_.push_back(e.row);  // original row id; remapped below
+        l_value_.push_back(e.value / piv_value);
+        --row_count_[static_cast<std::size_t>(e.row)];
       }
     }
-    l_start_.push_back(static_cast<int>(l_index_.size()));
+    const std::size_t l_end = l_index_.size();
+    l_start_.push_back(static_cast<int>(l_end));
 
-    // Eliminate the pivot row from every other active column, compacting
-    // dead rows out of each touched column as we go.
-    for (int j = 0; j < m; ++j) {
-      if (col_done[static_cast<std::size_t>(j)]) {
+    // Eliminate the pivot row from the other active columns that hold an
+    // entry in it: drop that entry, and where it is nonzero record it in U
+    // and subtract its multiple of the L column (fill is appended in L
+    // order).
+    for (const int j : row_cols_[static_cast<std::size_t>(piv_row)]) {
+      if (pos_of_col_[static_cast<std::size_t>(j)] >= 0) {
         continue;
       }
-      auto& cj = cols[static_cast<std::size_t>(j)];
+      auto& cj = cols_[static_cast<std::size_t>(j)];
       double u = 0.0;
-      for (const auto& [i, v] : cj) {
-        if (i == piv_row) {
-          u = v;
-          break;
+      std::size_t kept = 0;
+      for (const Entry& e : cj) {
+        if (e.row == piv_row) {
+          u = e.value;
+        } else {
+          cj[kept++] = e;
         }
       }
-      if (u == 0.0) {
+      cj.resize(kept);
+      if (u != 0.0) {
+        u_step_.push_back(k);
+        u_col_.push_back(j);
+        u_val_.push_back(u);
+        if (l_end > l_begin) {
+          for (std::size_t t = 0; t < cj.size(); ++t) {
+            mark_[static_cast<std::size_t>(cj[t].row)] = static_cast<int>(t);
+          }
+          for (std::size_t t = l_begin; t < l_end; ++t) {
+            const int i = l_index_[t];
+            const double contrib = l_value_[t] * u;
+            const int at = mark_[static_cast<std::size_t>(i)];
+            if (at >= 0) {
+              cj[static_cast<std::size_t>(at)].value -= contrib;
+            } else {
+              cj.push_back({i, -contrib});  // fill-in
+              ++row_count_[static_cast<std::size_t>(i)];
+              row_cols_[static_cast<std::size_t>(i)].push_back(j);
+            }
+          }
+          for (const Entry& e : cj) {
+            mark_[static_cast<std::size_t>(e.row)] = -1;
+          }
+        }
+      }
+      col_max_[static_cast<std::size_t>(j)] = column_max(cj);
+      enqueue(j);
+    }
+
+    // A row of the pivot column left with one active column makes that
+    // column a candidate.  Drop eliminated columns from its index on the
+    // way.
+    for (std::size_t t = l_begin; t < l_end; ++t) {
+      const auto i = static_cast<std::size_t>(l_index_[t]);
+      if (row_count_[i] != 1) {
         continue;
       }
-      u_step.push_back(k);
-      u_col.push_back(j);
-      u_val.push_back(u);
-      scratch.clear();
-      for (const auto& [i, v] : cj) {
-        if (row_done[static_cast<std::size_t>(i)]) {
-          continue;
-        }
-        mark[static_cast<std::size_t>(i)] = static_cast<int>(scratch.size());
-        scratch.emplace_back(i, v);
-      }
-      for (std::size_t t = l_begin; t < l_index_.size(); ++t) {
-        const int i = l_index_[t];
-        const double contrib = l_value_[t] * u;
-        const int at = mark[static_cast<std::size_t>(i)];
-        if (at >= 0) {
-          scratch[static_cast<std::size_t>(at)].second -= contrib;
-        } else {
-          scratch.emplace_back(i, -contrib);  // fill-in
-        }
-      }
-      for (const auto& [i, v] : scratch) {
-        mark[static_cast<std::size_t>(i)] = -1;
-        (void)v;
-      }
-      cj.swap(scratch);
+      auto& ri = row_cols_[i];
+      std::erase_if(ri, [&](int j) {
+        return pos_of_col_[static_cast<std::size_t>(j)] >= 0;
+      });
+      enqueue(ri.front());
     }
   }
 
   // Remap L's original row ids into pivot positions (all strictly below the
   // diagonal: a row active at step k is eliminated at a later step).
   for (int& i : l_index_) {
-    i = pos_of_row[static_cast<std::size_t>(i)];
+    i = pos_of_row_[static_cast<std::size_t>(i)];
   }
   // Build column-compressed U from the (step, column, value) triples.  The
   // triples were generated in step order, so each U column's entries land
   // sorted by row position -- a fixed accumulation order for the solves.
-  u_start_.assign(static_cast<std::size_t>(m) + 1, 0);
-  for (const int j : u_col) {
+  u_start_.assign(sm + 1, 0);
+  for (const int j : u_col_) {
     ++u_start_[static_cast<std::size_t>(
-                   pos_of_col[static_cast<std::size_t>(j)]) +
+                   pos_of_col_[static_cast<std::size_t>(j)]) +
                1];
   }
-  for (int k = 0; k < m; ++k) {
-    u_start_[static_cast<std::size_t>(k) + 1] +=
-        u_start_[static_cast<std::size_t>(k)];
+  for (std::size_t k = 0; k < sm; ++k) {
+    u_start_[k + 1] += u_start_[k];
   }
-  std::vector<int> fill_at(u_start_.begin(), u_start_.end() - 1);
-  u_index_.resize(u_step.size());
-  u_value_.resize(u_step.size());
-  for (std::size_t t = 0; t < u_step.size(); ++t) {
-    const int c = pos_of_col[static_cast<std::size_t>(u_col[t])];
-    const int at = fill_at[static_cast<std::size_t>(c)]++;
-    u_index_[static_cast<std::size_t>(at)] = u_step[t];
-    u_value_[static_cast<std::size_t>(at)] = u_val[t];
+  fill_at_.assign(u_start_.begin(), u_start_.end() - 1);
+  u_index_.resize(u_step_.size());
+  u_value_.resize(u_step_.size());
+  for (std::size_t t = 0; t < u_step_.size(); ++t) {
+    const int c = pos_of_col_[static_cast<std::size_t>(u_col_[t])];
+    const int at = fill_at_[static_cast<std::size_t>(c)]++;
+    u_index_[static_cast<std::size_t>(at)] = u_step_[t];
+    u_value_[static_cast<std::size_t>(at)] = u_val_[t];
   }
 
   valid_ = true;

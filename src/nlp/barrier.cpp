@@ -297,14 +297,19 @@ class PrimalDualSolver {
   }
 
   /// Gradient of inequality row i; if `w` is given, z_i * Hess(g_i) is
-  /// accumulated into it (box rows have zero Hessian).
+  /// accumulated into it (box rows have zero Hessian).  Without `w` no
+  /// Hessian is propagated: the gradients the two evaluators return are
+  /// bit-identical.
   Vector row_gradient(std::size_t i, const Vector& x, double z,
                       Matrix* w) const {
     const Inequality& row = rows_[i];
     switch (row.kind) {
       case Inequality::Kind::kExpr: {
+        if (w == nullptr) {
+          return expr::eval_grad(p_.constraints[row.index], x, n_).grad;
+        }
         const auto gv = expr::eval_hess(p_.constraints[row.index], x, n_);
-        if (w != nullptr && z != 0.0) {
+        if (z != 0.0) {
           Matrix h = gv.hess;
           h *= z;
           *w += h;

@@ -157,6 +157,12 @@ TEST_P(ExprDerivativeProperty, MatchesFiniteDifferences) {
   }
   const auto vgh = eval_hess(e, x, kVars);
   EXPECT_NEAR(vgh.value, eval(e, x), 1e-12);
+  // The barrier's residuals take gradients from eval_grad and its Newton
+  // steps from eval_hess; the two must agree to the bit.
+  const auto vg = eval_grad(e, x, kVars);
+  for (std::size_t i = 0; i < kVars; ++i) {
+    EXPECT_EQ(vg.grad[i], vgh.grad[i]) << "grad[" << i << "]";
+  }
 
   const double h = 1e-6;
   for (std::size_t i = 0; i < kVars; ++i) {
