@@ -6,7 +6,7 @@
 // iteration -- what the legacy engine does -- wastes almost all of its
 // work.  This module provides the three pieces the revised simplex needs:
 //
-//  * SparseColumns -- compressed column storage (CSC), append-only.
+//  * SparseColumns -- compressed column storage (CSC), built once.
 //  * SparseLu      -- LU of a sparse basis with Markowitz pivoting: each
 //                     elimination step picks the admissible entry with the
 //                     smallest (r_i-1)(c_j-1) fill bound, subject to a
@@ -38,13 +38,15 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace hslb::linalg {
 
-/// Append-only compressed-column (CSC) matrix.  Columns are added once via
-/// add_entry()/finish_column() and then read through spans; reset() recycles
-/// the storage for the next build.
+/// Compressed-column (CSC) matrix.  Columns are appended once via
+/// add_entry()/finish_column(), or all at once by assign_transpose(), and
+/// then read through spans; reset() recycles the storage for the next
+/// build.
 class SparseColumns {
  public:
   SparseColumns() = default;
@@ -69,6 +71,15 @@ class SparseColumns {
   /// Close the column under construction (every column must be closed, even
   /// when empty).
   void finish_column() { start_.push_back(static_cast<int>(index_.size())); }
+
+  /// Rebuild as the `cols`-column transpose of a row-compressed matrix: row
+  /// i holds the (column, value) entries entries[row_start[i] ..
+  /// row_start[i + 1]), every column below `cols`.  One counting pass,
+  /// O(nnz + cols); each column lists its entries in ascending row order,
+  /// and entries are copied as given (zeros too).
+  void assign_transpose(
+      int cols, std::span<const std::size_t> row_start,
+      std::span<const std::pair<std::size_t, double>> entries);
 
   int rows() const { return rows_; }
   int cols() const { return static_cast<int>(start_.size()) - 1; }

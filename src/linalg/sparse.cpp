@@ -32,6 +32,36 @@
 
 namespace hslb::linalg {
 
+void SparseColumns::assign_transpose(
+    int cols, std::span<const std::size_t> row_start,
+    std::span<const std::pair<std::size_t, double>> entries) {
+  HSLB_ASSERT(!row_start.empty() && row_start.back() == entries.size(),
+              "row_start must close on the entry count");
+  rows_ = static_cast<int>(row_start.size()) - 1;
+  const auto n = static_cast<std::size_t>(cols);
+  // Count column j's entries in start_[j + 2]; the prefix sum then leaves
+  // column j's first slot in start_[j + 1], which serves as its fill cursor
+  // and ends at column j's end, i.e. the next column's start.
+  start_.assign(n + 2, 0);
+  for (const auto& e : entries) {
+    ++start_[e.first + 2];
+  }
+  for (std::size_t j = 2; j < n + 2; ++j) {
+    start_[j] += start_[j - 1];
+  }
+  index_.resize(entries.size());
+  value_.resize(entries.size());
+  for (std::size_t i = 0; i + 1 < row_start.size(); ++i) {
+    for (std::size_t k = row_start[i]; k < row_start[i + 1]; ++k) {
+      const auto slot =
+          static_cast<std::size_t>(start_[entries[k].first + 1]++);
+      index_[slot] = static_cast<int>(i);
+      value_[slot] = entries[k].second;
+    }
+  }
+  start_.pop_back();
+}
+
 void SparseLu::enqueue(int j) {
   auto& queued = queued_[static_cast<std::size_t>(j)];
   if (queued == 0) {

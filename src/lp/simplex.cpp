@@ -4,21 +4,23 @@
 // `a.x - s = 0, s in [rlo, rup]`, and Phase I adds one artificial column per
 // row with a +/-1 coefficient chosen so the artificial starts nonnegative.
 //
-// The default sparse engine (SparseSimplex) keeps the constraint matrix in
-// CSC form, factorizes the basis once per (re)start with a Markowitz sparse
-// LU, and absorbs each pivot as a product-form eta update; a deterministic
-// trigger (eta count, eta fill, or a refused unstable update) forces a
-// refactorization.  Every solve factors its own starting basis; a warm
-// re-solve inherits only the parent's basis.  See DESIGN.md section 15.
+// The default sparse engine (SparseSimplex) transposes the problem's
+// compressed rows into CSC form once per solve (a counting sort,
+// O(nnz + n)), factorizes the basis once per (re)start with a Markowitz
+// sparse LU, and absorbs each pivot as a product-form eta update; a
+// deterministic trigger (eta count, eta fill, or a refused unstable update)
+// forces a refactorization.  Every solve factors its own starting basis; a
+// warm re-solve inherits only the parent's basis.  See DESIGN.md section 15.
 //
-// The legacy dense engine (DenseSimplex) applies the basis inverse through
-// a fresh dense LU factorization each pivot.  It survives as the
-// comparison baseline for bench_lp_resolve and as a second opinion in the
-// property tests.  B and B^T are singular together mathematically, but the
-// dense absolute pivot threshold can reject one orientation of a badly
-// row-scaled basis while accepting the other; wherever both orientations
-// are needed, the factorization of B is the authority and B^T systems fall
-// back to LuFactor::solve_transposed on it (counted as bt_fallbacks).
+// The legacy dense engine (DenseSimplex) densifies the rows once and
+// applies the basis inverse through a fresh dense LU factorization each
+// pivot.  It survives as the comparison baseline for bench_lp_resolve and
+// as a second opinion in the property tests.  B and B^T are singular
+// together mathematically, but the dense absolute pivot threshold can
+// reject one orientation of a badly row-scaled basis while accepting the
+// other; wherever both orientations are needed, the factorization of B is
+// the authority and B^T systems fall back to LuFactor::solve_transposed on
+// it (counted as bt_fallbacks).
 //
 // Warm starts (resolve_from_basis) reuse a captured basis when it is still
 // complete and factorizable.  If the basis is also primal feasible, Phase I
@@ -80,9 +82,16 @@ class DenseSimplex {
       lower_[j] = problem.col_lower()[j];
       upper_[j] = problem.col_upper()[j];
     }
+    // The constraint matrix, densified once: this engine reads A entry by
+    // entry.
+    a_ = Matrix(m_, n_);
     for (std::size_t i = 0; i < m_; ++i) {
-      lower_[n_ + i] = problem.rows()[i].lower;
-      upper_[n_ + i] = problem.rows()[i].upper;
+      const Row row = problem.row(i);
+      for (const auto& [j, v] : row.terms) {
+        a_(i, j) = v;
+      }
+      lower_[n_ + i] = row.lower;
+      upper_[n_ + i] = row.upper;
       lower_[n_ + m_ + i] = 0.0;  // artificials
     }
 
@@ -179,7 +188,7 @@ class DenseSimplex {
   /// Coefficient of column j in row i of [A | -I | G].
   double coeff(std::size_t i, std::size_t j) const {
     if (j < n_) {
-      return problem_.rows()[i].coeffs[j];
+      return a_(i, j);
     }
     if (j < n_ + m_) {
       return j - n_ == i ? -1.0 : 0.0;
@@ -218,7 +227,7 @@ class DenseSimplex {
       // Row residual with artificial at zero: sum over structural + slack.
       double v = 0.0;
       for (std::size_t j = 0; j < n_; ++j) {
-        v += problem_.rows()[i].coeffs[j] * value_[j];
+        v += a_(i, j) * value_[j];
       }
       v -= value_[n_ + i];  // slack column is -1
       // Need v + g * t = 0 with t >= 0  =>  g = -sign(v), t = |v|.
@@ -726,6 +735,7 @@ class DenseSimplex {
   std::size_t n_ = 0;      // structural columns
   std::size_t m_ = 0;      // rows (== slack count == artificial count)
   std::size_t total_ = 0;  // n + 2m
+  Matrix a_;               // m x n constraint matrix
   Vector lower_, upper_, value_;
   Vector art_sign_;
   std::vector<VarStatus> status_;
@@ -824,8 +834,9 @@ class SparseSimplex {
       ws_.upper[j] = problem.col_upper()[j];
     }
     for (std::size_t i = 0; i < m_; ++i) {
-      ws_.lower[n_ + i] = problem.rows()[i].lower;
-      ws_.upper[n_ + i] = problem.rows()[i].upper;
+      const Row row = problem.row(i);
+      ws_.lower[n_ + i] = row.lower;
+      ws_.upper[n_ + i] = row.upper;
       ws_.lower[n_ + m_ + i] = 0.0;  // artificials
     }
     ws_.art_sign.assign(m_, 1.0);
@@ -836,17 +847,15 @@ class SparseSimplex {
     }
     init_basis();
 
-    // CSC of the structural columns, built once per solve.  Slack and
-    // artificial columns are singletons and stay implicit, so the pricing
-    // loop and the basis-column gather handle them inline (and an
-    // art_sign flip never invalidates this matrix).
-    ws_.csc.reset(static_cast<int>(m_));
-    for (std::size_t j = 0; j < n_; ++j) {
-      for (std::size_t i = 0; i < m_; ++i) {
-        ws_.csc.add_entry(static_cast<int>(i), problem.rows()[i].coeffs[j]);
-      }
-      ws_.csc.finish_column();
-    }
+    // CSC of the structural columns, built once per solve by one counting
+    // transpose of the problem's rows, O(nnz + n).  Rows are visited in
+    // order, so each column lists its nonzeros in ascending row order, the
+    // order every column loop below sums in.  Slack and artificial columns
+    // are singletons and stay implicit, so the pricing loop and the
+    // basis-column gather handle them inline (and an art_sign flip never
+    // invalidates this matrix).
+    ws_.csc.assign_transpose(static_cast<int>(n_), problem.row_start(),
+                             problem.terms());
 
     ws_.y.assign(m_, 0.0);
     ws_.w.assign(m_, 0.0);
@@ -945,18 +954,6 @@ class SparseSimplex {
     out.update_seconds = update_seconds_;
   }
 
-  /// Coefficient of column j in row i of [A | -I | G] (validation paths
-  /// only; the hot loops go through the CSC / singleton structure).
-  double coeff(std::size_t i, std::size_t j) const {
-    if (j < n_) {
-      return problem_.rows()[i].coeffs[j];
-    }
-    if (j < n_ + m_) {
-      return j - n_ == i ? -1.0 : 0.0;
-    }
-    return j - n_ - m_ == i ? ws_.art_sign[i] : 0.0;
-  }
-
   void init_nonbasic(std::size_t j) {
     const double lo = ws_.lower[j];
     const double hi = ws_.upper[j];
@@ -982,9 +979,12 @@ class SparseSimplex {
   void init_basis() {
     ws_.basis.resize(m_);
     for (std::size_t i = 0; i < m_; ++i) {
+      // The nonzeros give the same bits as the whole row would: a zero
+      // product leaves v unchanged, since v starts at +0.0 and no sum of
+      // finite terms turns it into -0.0.
       double v = 0.0;
-      for (std::size_t j = 0; j < n_; ++j) {
-        v += problem_.rows()[i].coeffs[j] * ws_.value[j];
+      for (const auto& [j, a] : problem_.row(i).terms) {
+        v += a * ws_.value[j];
       }
       v -= ws_.value[n_ + i];  // slack column is -1
       ws_.art_sign[i] = v > 0.0 ? -1.0 : 1.0;

@@ -8,16 +8,6 @@
 namespace hslb::minlp {
 namespace {
 
-/// Shared: dense coefficient vector from sparse terms.
-linalg::Vector densify(const std::vector<std::pair<std::size_t, double>>& terms,
-                       std::size_t n) {
-  linalg::Vector row(n, 0.0);
-  for (const auto& [v, c] : terms) {
-    row[v] += c;
-  }
-  return row;
-}
-
 bool same_point(double a, double b) {
   return std::fabs(a - b) <= 1e-9 * std::max(1.0, std::fabs(b));
 }
@@ -158,8 +148,7 @@ lp::LpProblem build_master_lp(const Model& model, const CutPool& pool,
   lp::LpProblem master;
   for (std::size_t j = 0; j < n; ++j) {
     master.add_variable(node_lower[j], node_upper[j],
-                        model.objective_coeffs()[j],
-                        model.variables()[j].name);
+                        model.objective_coeffs()[j]);
   }
   master.set_objective_offset(model.objective_offset());
   if (row_keys != nullptr) {
@@ -173,16 +162,16 @@ lp::LpProblem build_master_lp(const Model& model, const CutPool& pool,
 
   for (std::size_t ci = 0; ci < model.linear_constraints().size(); ++ci) {
     const LinearConstraint& c = model.linear_constraints()[ci];
-    master.add_row(densify(c.terms, n), c.lower, c.upper, c.name);
+    master.add_row(c.terms, c.lower, c.upper);
     key(row_key::linear(ci));
   }
   for (const CutRow& cut : pool.rows()) {
-    master.add_row(densify(cut.terms, n), cut.lower, cut.upper, "cut");
+    master.add_row(cut.terms, cut.lower, cut.upper);
     key(row_key::cut(cut.id));
   }
   if (extra != nullptr) {
     for (const CutRow& cut : extra->rows()) {
-      master.add_row(densify(cut.terms, n), cut.lower, cut.upper, "cut");
+      master.add_row(cut.terms, cut.lower, cut.upper);
       key(row_key::cut(cut.id));
     }
   }
@@ -211,15 +200,10 @@ lp::LpProblem build_master_lp(const Model& model, const CutPool& pool,
     const double slope = (fhi - flo) / (hi - lo);
     // Chord: t {<=,>=} flo + slope * (n - lo)
     //   =>   t - slope * n {<=,>=} flo - slope * lo.
-    linalg::Vector row(n, 0.0);
-    row[link.t_var] = 1.0;
-    row[link.n_var] = -slope;
     const double rhs = flo - slope * lo;
-    if (curvature[li] == Curvature::kConvex) {
-      master.add_row(std::move(row), -lp::kInf, rhs, link.name + "_chord");
-    } else {
-      master.add_row(std::move(row), rhs, lp::kInf, link.name + "_chord");
-    }
+    const bool convex = curvature[li] == Curvature::kConvex;
+    master.add_row({{link.t_var, 1.0}, {link.n_var, -slope}},
+                   convex ? -lp::kInf : rhs, convex ? rhs : lp::kInf);
     key(row_key::chord(li));
   }
   return master;

@@ -1,6 +1,7 @@
 // Property-based tests for the simplex: random instances are checked for
 // feasibility of the returned point, consistency against known feasible
 // points, and (in two dimensions) against brute-force vertex enumeration.
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <vector>
@@ -15,16 +16,36 @@ namespace {
 
 using linalg::Vector;
 
+/// Adds the row lower <= coeffs . x <= upper given as a dense vector.
+void add_dense_row(LpProblem& p, const Vector& coeffs, double lower,
+                   double upper) {
+  std::vector<Term> terms;
+  for (std::size_t j = 0; j < coeffs.size(); ++j) {
+    terms.emplace_back(j, coeffs[j]);
+  }
+  p.add_row(terms, lower, upper);
+}
+
+/// Row i of `p` as a dense vector.
+Vector dense_row(const LpProblem& p, std::size_t i) {
+  Vector coeffs(p.num_vars(), 0.0);
+  for (const auto& [j, a] : p.row(i).terms) {
+    coeffs[j] = a;
+  }
+  return coeffs;
+}
+
 bool satisfies(const LpProblem& p, const Vector& x, double tol = 1e-6) {
   for (std::size_t j = 0; j < p.num_vars(); ++j) {
     if (x[j] < p.col_lower()[j] - tol || x[j] > p.col_upper()[j] + tol) {
       return false;
     }
   }
-  for (const Row& row : p.rows()) {
+  for (std::size_t i = 0; i < p.num_rows(); ++i) {
+    const Row row = p.row(i);
     double v = 0.0;
-    for (std::size_t j = 0; j < p.num_vars(); ++j) {
-      v += row.coeffs[j] * x[j];
+    for (const auto& [j, a] : row.terms) {
+      v += a * x[j];
     }
     const double scale = 1.0 + std::fabs(v);
     if (v < row.lower - tol * scale || v > row.upper + tol * scale) {
@@ -70,8 +91,8 @@ TEST_P(SimplexFeasibleProperty, OptimalBeatsSeedPoint) {
       at_seed += coeffs[j] * seed[j];
     }
     // Row passes through the seed with slack on both sides.
-    p.add_row(std::move(coeffs), at_seed - rng.uniform(0.0, 3.0),
-              at_seed + rng.uniform(0.0, 3.0));
+    add_dense_row(p, coeffs, at_seed - rng.uniform(0.0, 3.0),
+                  at_seed + rng.uniform(0.0, 3.0));
   }
 
   const auto s = solve(p);
@@ -111,15 +132,15 @@ TEST_P(SimplexBruteForce2D, MatchesVertexEnumeration) {
   }
   const int m = static_cast<int>(rng.uniform_int(1, 4));
   for (int i = 0; i < m; ++i) {
-    p.add_row({rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)},
-              -lp::kInf, rng.uniform(-1.0, 4.0));
+    add_dense_row(p, {rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)},
+                  -lp::kInf, rng.uniform(-1.0, 4.0));
   }
 
   // Candidate vertices: intersections of all pairs of "lines" (rows at their
   // bound + box edges).
   std::vector<std::pair<Vector, double>> lines;
-  for (const Row& row : p.rows()) {
-    lines.push_back({row.coeffs, row.upper});
+  for (std::size_t i = 0; i < p.num_rows(); ++i) {
+    lines.push_back({dense_row(p, i), p.row(i).upper});
   }
   lines.push_back({{1.0, 0.0}, p.col_lower()[0]});
   lines.push_back({{1.0, 0.0}, p.col_upper()[0]});
@@ -167,7 +188,7 @@ TEST_P(SimplexScalingProperty, CostScalingScalesObjective) {
   for (std::size_t j = 0; j < n; ++j) {
     p.add_variable(0.0, rng.uniform(1.0, 5.0), rng.uniform(-1.0, 1.0));
   }
-  p.add_row({1.0, 1.0, 1.0}, 0.5, 4.0);
+  p.add_row({{0, 1.0}, {1, 1.0}, {2, 1.0}}, 0.5, 4.0);
 
   const auto s1 = solve(p);
   ASSERT_EQ(s1.status, LpStatus::kOptimal);
@@ -208,8 +229,8 @@ LpProblem random_feasible(common::Rng& rng, Vector* seed_out = nullptr) {
       coeffs[j] = rng.uniform(-2.0, 2.0);
       at_seed += coeffs[j] * seed[j];
     }
-    p.add_row(std::move(coeffs), at_seed - rng.uniform(0.1, 3.0),
-              at_seed + rng.uniform(0.1, 3.0));
+    add_dense_row(p, coeffs, at_seed - rng.uniform(0.1, 3.0),
+                  at_seed + rng.uniform(0.1, 3.0));
   }
   if (seed_out != nullptr) {
     *seed_out = seed;
@@ -284,6 +305,36 @@ TEST_P(SimplexWarmStartProperty, RowReorderRemapMatchesColdOptimum) {
   capture.capture_basis = true;
   const LpSolution cold = solve(p, capture);
   ASSERT_EQ(cold.status, LpStatus::kOptimal);
+
+  // The same rows with their terms shuffled and one coefficient c split
+  // into two terms of 0.5 c, whose sum is exact: add_row stores the same
+  // problem, so the solve must repeat bit for bit.
+  LpProblem shuffled;
+  for (std::size_t j = 0; j < p.num_vars(); ++j) {
+    shuffled.add_variable(p.col_lower()[j], p.col_upper()[j], p.cost()[j]);
+  }
+  const auto split_row = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(p.num_rows()) - 1));
+  for (std::size_t i = 0; i < p.num_rows(); ++i) {
+    const Row row = p.row(i);
+    std::vector<Term> terms(row.terms.begin(), row.terms.end());
+    if (i == split_row && !terms.empty()) {
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(terms.size()) - 1));
+      const Term half{terms[k].first, 0.5 * terms[k].second};
+      terms[k] = half;
+      terms.push_back(half);
+    }
+    std::shuffle(terms.begin(), terms.end(), rng);
+    shuffled.add_row(terms, row.lower, row.upper);
+  }
+  ASSERT_TRUE(std::ranges::equal(shuffled.terms(), p.terms()));
+  ASSERT_TRUE(std::ranges::equal(shuffled.row_start(), p.row_start()));
+  const LpSolution again = solve(shuffled, capture);
+  ASSERT_EQ(again.status, LpStatus::kOptimal);
+  EXPECT_EQ(again.objective, cold.objective);
+  EXPECT_EQ(again.x, cold.x);
+
   if (cold.basis.empty()) {
     return;
   }
@@ -297,14 +348,13 @@ TEST_P(SimplexWarmStartProperty, RowReorderRemapMatchesColdOptimum) {
   }
   std::vector<std::uint64_t> from_keys;
   std::vector<std::uint64_t> to_keys;
-  const std::size_t m = p.rows().size();
+  const std::size_t m = p.num_rows();
   for (std::size_t i = 0; i < m; ++i) {
     from_keys.push_back(static_cast<std::uint64_t>(i));
   }
   for (std::size_t i = m; i-- > 0;) {
-    const Row& row = p.rows()[i];
-    Vector coeffs = row.coeffs;
-    reordered.add_row(std::move(coeffs), row.lower, row.upper);
+    const Row row = p.row(i);
+    reordered.add_row(row.terms, row.lower, row.upper);
     to_keys.push_back(static_cast<std::uint64_t>(i));
   }
 
@@ -339,10 +389,9 @@ TEST_P(SimplexWarmStartProperty, AddedRowSlackEntersBasisAndSkipsPhase1) {
   }
   std::vector<std::uint64_t> from_keys;
   std::vector<std::uint64_t> to_keys;
-  for (std::size_t i = 0; i < p.rows().size(); ++i) {
-    const Row& row = p.rows()[i];
-    Vector coeffs = row.coeffs;
-    grown.add_row(std::move(coeffs), row.lower, row.upper);
+  for (std::size_t i = 0; i < p.num_rows(); ++i) {
+    const Row row = p.row(i);
+    grown.add_row(row.terms, row.lower, row.upper);
     from_keys.push_back(static_cast<std::uint64_t>(i));
     to_keys.push_back(static_cast<std::uint64_t>(i));
   }
@@ -352,7 +401,7 @@ TEST_P(SimplexWarmStartProperty, AddedRowSlackEntersBasisAndSkipsPhase1) {
     cut[j] = rng.uniform(-2.0, 2.0);
     at_opt += cut[j] * cold.x[j];
   }
-  grown.add_row(std::move(cut), -kInf, at_opt + rng.uniform(0.1, 1.0));
+  add_dense_row(grown, cut, -kInf, at_opt + rng.uniform(0.1, 1.0));
   to_keys.push_back(1u << 20);  // a fresh key: no match in from_keys
 
   const Basis mapped = map_basis(cold.basis, from_keys, to_keys);
@@ -469,12 +518,13 @@ TEST(SimplexSparseStability, IllScaledColumnsStayCorrect) {
       scaled.add_variable(p.col_lower()[j] / s[j], p.col_upper()[j] / s[j],
                           p.cost()[j] * s[j]);
     }
-    for (const Row& row : p.rows()) {
-      Vector coeffs(p.num_vars());
-      for (std::size_t j = 0; j < p.num_vars(); ++j) {
-        coeffs[j] = row.coeffs[j] * s[j];
+    for (std::size_t i = 0; i < p.num_rows(); ++i) {
+      const Row row = p.row(i);
+      std::vector<Term> terms;
+      for (const auto& [j, a] : row.terms) {
+        terms.emplace_back(j, a * s[j]);
       }
-      scaled.add_row(std::move(coeffs), row.lower, row.upper);
+      scaled.add_row(terms, row.lower, row.upper);
     }
 
     SimplexOptions sparse_opts;

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "hslb/common/error.hpp"
+#include "hslb/hslb/layout_model.hpp"
 #include "hslb/minlp/branch_and_bound.hpp"
 #include "hslb/minlp/nlp_bb.hpp"
 #include "hslb/minlp/relaxation.hpp"
+#include "hslb/scen/build.hpp"
+#include "hslb/scen/parse.hpp"
 
 namespace hslb::minlp {
 namespace {
@@ -375,6 +378,226 @@ TEST(Relaxation, CompletionRoundsAndSolves) {
   ASSERT_TRUE(comp.has_value());
   EXPECT_NEAR(comp->x[tm.n], 14.0, 1e-9);
   EXPECT_NEAR(comp->objective, 100.0 / 14.0 + 7.0, 1e-7);
+}
+
+// ---------------------------------------------------------------------------
+// build_master_lp against a test-only copy of its former dense construction:
+// every model and cut row densified by summing its terms into a zero
+// vector, and each chord row written entry by entry.
+// ---------------------------------------------------------------------------
+
+linalg::Vector densify(const std::vector<std::pair<std::size_t, double>>& terms,
+                       std::size_t n) {
+  linalg::Vector row(n, 0.0);
+  for (const auto& [v, c] : terms) {
+    row[v] += c;
+  }
+  return row;
+}
+
+struct DenseRow {
+  linalg::Vector coeffs;
+  double lower = -lp::kInf;
+  double upper = lp::kInf;
+};
+
+struct DenseMaster {
+  linalg::Vector cost, col_lower, col_upper;
+  double offset = 0.0;
+  std::vector<DenseRow> rows;
+};
+
+DenseMaster dense_master(const Model& model, const CutPool& pool,
+                         const std::vector<Curvature>& curvature,
+                         const linalg::Vector& node_lower,
+                         const linalg::Vector& node_upper,
+                         const CutPool* extra) {
+  const std::size_t n = model.num_vars();
+  DenseMaster out{model.objective_coeffs(), node_lower, node_upper,
+                  model.objective_offset(), {}};
+  for (const LinearConstraint& c : model.linear_constraints()) {
+    out.rows.push_back({densify(c.terms, n), c.lower, c.upper});
+  }
+  for (const CutRow& cut : pool.rows()) {
+    out.rows.push_back({densify(cut.terms, n), cut.lower, cut.upper});
+  }
+  if (extra != nullptr) {
+    for (const CutRow& cut : extra->rows()) {
+      out.rows.push_back({densify(cut.terms, n), cut.lower, cut.upper});
+    }
+  }
+  for (std::size_t li = 0; li < model.links().size(); ++li) {
+    const UnivariateLink& link = model.links()[li];
+    const double lo = node_lower[link.n_var];
+    const double hi = node_upper[link.n_var];
+    if (lo >= hi) {
+      out.col_lower[link.t_var] = out.col_upper[link.t_var] =
+          link.fn.value(lo);
+      continue;
+    }
+    if (!std::isfinite(lo) || !std::isfinite(hi)) {
+      continue;
+    }
+    const double flo = link.fn.value(lo);
+    const double fhi = link.fn.value(hi);
+    if (!std::isfinite(flo) || !std::isfinite(fhi)) {
+      continue;
+    }
+    const double slope = (fhi - flo) / (hi - lo);
+    linalg::Vector row(n, 0.0);
+    row[link.t_var] = 1.0;
+    row[link.n_var] = -slope;
+    const double rhs = flo - slope * lo;
+    if (curvature[li] == Curvature::kConvex) {
+      out.rows.push_back({std::move(row), -lp::kInf, rhs});
+    } else {
+      out.rows.push_back({std::move(row), rhs, lp::kInf});
+    }
+  }
+  return out;
+}
+
+/// Builds the master LP both ways and compares them: bounds and costs
+/// equal, and each stored row exactly the dense row's nonzeros in column
+/// order (EXPECT_EQ on nonzero doubles is bitwise).
+void expect_master_matches_dense(const Model& model, const CutPool& pool,
+                                 const linalg::Vector& lo,
+                                 const linalg::Vector& hi,
+                                 const CutPool* extra = nullptr) {
+  const auto curvature = resolve_curvatures(model);
+  const lp::LpProblem master =
+      build_master_lp(model, pool, curvature, lo, hi, extra);
+  const DenseMaster ref = dense_master(model, pool, curvature, lo, hi, extra);
+  EXPECT_EQ(master.cost(), ref.cost);
+  EXPECT_EQ(master.col_lower(), ref.col_lower);
+  EXPECT_EQ(master.col_upper(), ref.col_upper);
+  EXPECT_EQ(master.objective_offset(), ref.offset);
+  ASSERT_EQ(master.num_rows(), ref.rows.size());
+  for (std::size_t i = 0; i < ref.rows.size(); ++i) {
+    const lp::Row row = master.row(i);
+    EXPECT_EQ(row.lower, ref.rows[i].lower) << "row " << i;
+    EXPECT_EQ(row.upper, ref.rows[i].upper) << "row " << i;
+    std::vector<lp::Term> nonzeros;
+    for (std::size_t j = 0; j < ref.rows[i].coeffs.size(); ++j) {
+      if (ref.rows[i].coeffs[j] != 0.0) {
+        nonzeros.emplace_back(j, ref.rows[i].coeffs[j]);
+      }
+    }
+    EXPECT_EQ(std::vector<lp::Term>(row.terms.begin(), row.terms.end()),
+              nonzeros)
+        << "row " << i;
+  }
+}
+
+/// The model's own variable bounds.
+void root_box(const Model& model, linalg::Vector* lo, linalg::Vector* hi) {
+  lo->clear();
+  hi->clear();
+  for (const Variable& v : model.variables()) {
+    lo->push_back(v.lower);
+    hi->push_back(v.upper);
+  }
+}
+
+TEST(Relaxation, MasterRowsMatchDenseReferenceOnLayoutModel) {
+  // Table I layout 1 with both allocation sets expanded into binaries.
+  core::LayoutModelSpec spec;
+  spec.layout = cesm::LayoutKind::kHybrid;
+  spec.total_nodes = 64;
+  spec.perf[cesm::ComponentKind::kAtm] =
+      perf::PerfModel(perf::PerfParams{27000.0, 0.0, 1.0, 45.0});
+  spec.perf[cesm::ComponentKind::kOcn] =
+      perf::PerfModel(perf::PerfParams{7800.0, 0.0, 1.0, 41.0});
+  spec.perf[cesm::ComponentKind::kIce] =
+      perf::PerfModel(perf::PerfParams{7400.0, 0.0, 1.0, 12.0});
+  spec.perf[cesm::ComponentKind::kLnd] =
+      perf::PerfModel(perf::PerfParams{1480.0, 0.0, 1.0, 2.0});
+  spec.ocn_allowed = {4, 8, 16, 24};
+  spec.atm_allowed = {8, 16, 32, 40};
+  spec.tsync = 30.0;
+  spec.use_sos = false;
+  core::LayoutModelVars vars;
+  Model model = core::build_layout_model(spec, &vars);
+  const std::size_t na = vars.nodes.at(cesm::ComponentKind::kAtm);
+  const std::size_t no = vars.nodes.at(cesm::ComponentKind::kOcn);
+  const std::size_t ni = vars.nodes.at(cesm::ComponentKind::kIce);
+
+  // Repeated columns whose sum depends on the order (0.1, 0.2, 1e-16 in
+  // term order give 0.30000000000000016, 1e-16 first 0.3000000000000001),
+  // and a repeated pair that cancels to zero.
+  model.add_linear({{no, 1.0}, {na, 0.1}, {ni, 2.0}, {na, 0.2}, {na, 1e-16}},
+                   -lp::kInf, 64.0, "repeats");
+  model.add_linear({{na, 1.0}, {ni, 2.5}, {na, -1.0}}, -lp::kInf, 64.0,
+                   "cancels");
+  // A convex constraint to take an OA cut of.
+  model.add_nonlinear(model.var(na) * model.var(na) +
+                          0.5 * model.var(no) * model.var(no),
+                      4096.0, "disk");
+  // A constant link: its chord slope is 0, so the dense chord holds -0.0.
+  const std::size_t cn =
+      model.add_variable("c_n", VarType::kInteger, 1.0, 8.0);
+  const std::size_t ct =
+      model.add_variable("c_t", VarType::kContinuous, 0.0, 1e9);
+  model.add_link(ct, cn,
+                 make_univariate([](double) { return 3.0; },
+                                 [](double) { return 0.0; },
+                                 Curvature::kConvex),
+                 "constant");
+
+  const auto curvature = resolve_curvatures(model);
+  linalg::Vector lo;
+  linalg::Vector hi;
+  root_box(model, &lo, &hi);
+  CutPool pool;
+  CutPool extra;
+  std::uint64_t id = 1;
+  for (std::size_t li = 0; li < model.links().size(); ++li) {
+    const std::size_t nv = model.links()[li].n_var;
+    pool.add_link_tangent(model, curvature, li, lo[nv], id++);
+    pool.add_link_tangent(model, curvature, li, 0.5 * (lo[nv] + hi[nv]),
+                          id++);
+    extra.add_link_tangent(model, curvature, li, hi[nv], id++);
+  }
+  linalg::Vector x(model.num_vars(), 0.0);
+  x[na] = 16.0;
+  x[no] = 8.0;
+  pool.add_nonlinear_cut(model, 0, x, id++);
+  x[na] = 40.0;
+  extra.add_nonlinear_cut(model, 0, x, id++);
+
+  expect_master_matches_dense(model, pool, lo, hi);
+  expect_master_matches_dense(model, pool, lo, hi, &extra);
+  // A node that pins the ice link by closing its interval.
+  lo[ni] = hi[ni] = 6.0;
+  expect_master_matches_dense(model, pool, lo, hi, &extra);
+}
+
+TEST(Relaxation, MasterRowsMatchDenseReferenceOnScenarioModel) {
+  const scen::Scenario scenario = scen::parse_scenario(R"(scenario dense_ref
+machine nodes=128 cores_per_node=8 mem_gb_per_node=64
+component atm curve=pow a=40000 b=0.001 c=1.2 d=10 mem_gb=100
+component ocn curve=commpow a=25000 b=0.002 c=1.1 d=20 e=0.004 allowed=8,16,32,48
+component ice curve=pow a=8000 b=0 c=1 d=5 min_nodes=2
+component lnd curve=pow a=3000 b=0 c=1 d=2
+comm atm ocn 0.003
+schedule ocn | (ice | lnd) -> atm
+)");
+  scen::ScenarioModelVars vars;
+  scen::BuildOptions options;
+  options.use_sos = false;
+  const Model model = scen::build_scenario_model(scenario, &vars, options);
+  const auto curvature = resolve_curvatures(model);
+  linalg::Vector lo;
+  linalg::Vector hi;
+  root_box(model, &lo, &hi);
+  CutPool pool;
+  std::uint64_t id = 1;
+  for (std::size_t li = 0; li < model.links().size(); ++li) {
+    const std::size_t nv = model.links()[li].n_var;
+    pool.add_link_tangent(model, curvature, li, lo[nv], id++);
+    pool.add_link_tangent(model, curvature, li, hi[nv], id++);
+  }
+  expect_master_matches_dense(model, pool, lo, hi);
 }
 
 }  // namespace
