@@ -48,27 +48,9 @@ inline std::string result_fingerprint(const minlp::MinlpResult& r) {
         s.incumbent_updates, s.pruned_by_bound, s.pruned_infeasible, s.epochs,
         s.warm_lp_solves, s.warm_phase1_skips, s.warm_simplex_iterations,
         s.cold_simplex_iterations, s.lp_factorizations, s.lp_refactorizations,
-        s.lp_eta_updates, s.lp_bound_flips, s.lp_bt_fallbacks}) {
+        s.lp_eta_updates, s.lp_bound_flips}) {
     out += '|' + std::to_string(v);
   }
-  return out;
-}
-
-/// Solution-level fingerprint: the answer only (status, objective, bound,
-/// incumbent point), without the search counters.  For comparing
-/// configurations that legitimately count work differently -- e.g. the
-/// sparse vs dense simplex engines, which factorize and pivot on different
-/// schedules but must land on the same tree and the same answer.
-inline std::string solution_fingerprint(const minlp::MinlpResult& r) {
-  std::string out;
-  out += std::to_string(static_cast<int>(r.status));
-  out += '|' + bits(r.objective);
-  out += '|' + bits(r.stats.best_bound);
-  out += "|x:";
-  for (std::size_t i = 0; i < r.x.size(); ++i) {
-    out += bits(r.x[i]) + ',';
-  }
-  out += '|' + std::to_string(r.stats.nodes_explored);
   return out;
 }
 

@@ -7,16 +7,14 @@
 // produces: each case lowers a generated scenario to its master LP, then
 // replays a deterministic sequence of node-style edits (one integer bound
 // tightened per step, a tangent cut appended every third step) and re-solves
-// after every edit.  Three arms run the byte-identical sequence:
+// after every edit.  Two arms run the byte-identical sequence:
 //
-//   warm   sparse engine, each solve starts from the previous solve's basis
-//          (remapped by row keys), factors it once and absorbs its pivots as
-//          eta updates (the branch-and-bound configuration),
-//   cold   sparse engine, every solve starts from scratch (Phase I),
-//   dense  legacy dense engine (refactorizes every pivot; the pre-sparse
-//          baseline).
+//   warm   each solve starts from the previous solve's basis (remapped by
+//          row keys), factors it once and absorbs its pivots as eta updates
+//          (the branch-and-bound configuration),
+//   cold   every solve starts from scratch (Phase I).
 //
-// Every arm must report the same status and objective at every step (any
+// Both arms must report the same status and objective at every step (any
 // disagreement exits nonzero), so the speedup is measured between solves
 // that provably did the same job.  The artifact (PR 5 schema) carries the
 // deterministic pivot/eta/factorization counters plus kTiming cells for the
@@ -65,7 +63,7 @@ struct ArmStats {
   std::vector<double> objectives;  ///< per-step optima (NaN when infeasible)
 };
 
-enum class Arm { kWarm, kCold, kDense };
+enum class Arm { kWarm, kCold };
 
 /// Replay the edit sequence once, accumulating one arm's counters.  The LP
 /// built at step t is identical across arms by construction; only how it is
@@ -85,7 +83,6 @@ ArmStats run_arm(const minlp::Model& model,
   }
 
   lp::SimplexOptions opts;
-  opts.engine = arm == Arm::kDense ? lp::LpEngine::kDense : lp::LpEngine::kSparse;
   opts.capture_basis = arm == Arm::kWarm;
 
   lp::Basis warm;
@@ -211,11 +208,10 @@ int main(int argc, char** argv) {
 
   report::ResultSet artifact =
       bench::make_result_set("lp_resolve", title, reference);
-  common::Table table({"case", "rows", "warm ms", "cold ms", "dense ms",
-                       "speedup", "warm pivots", "cold pivots", "etas"});
+  common::Table table({"case", "rows", "warm ms", "cold ms", "speedup",
+                       "warm pivots", "cold pivots", "etas"});
   bool identity_ok = true;
   double log_speedup_sum = 0.0;
-  double log_dense_speedup_sum = 0.0;
   int measured = 0;
 
   for (const scen::Scenario& s : cases) {
@@ -299,25 +295,20 @@ int main(int argc, char** argv) {
     std::cerr << "  case: " << s.name << '\n';
     ArmStats warm;
     ArmStats cold;
-    ArmStats dense;
     for (int r = 0; r < repeats; ++r) {
       ArmStats w = run_arm(model, curvature, seeded, steps, Arm::kWarm);
       ArmStats c = run_arm(model, curvature, seeded, steps, Arm::kCold);
-      ArmStats d = run_arm(model, curvature, seeded, steps, Arm::kDense);
       if (r == 0) {
         warm = std::move(w);
         cold = std::move(c);
-        dense = std::move(d);
       } else {
         identity_ok = identity_ok && w.objective_bits == warm.objective_bits &&
-                      c.objective_bits == cold.objective_bits &&
-                      d.objective_bits == dense.objective_bits;
+                      c.objective_bits == cold.objective_bits;
         warm.solve_seconds = std::min(warm.solve_seconds, w.solve_seconds);
         cold.solve_seconds = std::min(cold.solve_seconds, c.solve_seconds);
-        dense.solve_seconds = std::min(dense.solve_seconds, d.solve_seconds);
       }
     }
-    // The three arms must have solved the same sequence to the same optima.
+    // The two arms must have solved the same sequence to the same optima.
     // Different pivot paths may land on different (degenerate) vertices, so
     // the cross-arm check is a tolerance on the objective, not bit equality;
     // bit equality is enforced within each arm across the repeats above.
@@ -326,29 +317,21 @@ int main(int argc, char** argv) {
       const double w = warm.objectives[t];
       const double c = t < cold.objectives.size() ? cold.objectives[t]
                                                   : std::nan("");
-      const double d = t < dense.objectives.size() ? dense.objectives[t]
-                                                   : std::nan("");
-      const bool same_feas = std::isnan(w) == std::isnan(c) &&
-                             std::isnan(w) == std::isnan(d);
+      const bool same_feas = std::isnan(w) == std::isnan(c);
       const double tol = 1e-6 * (1.0 + std::fabs(std::isnan(c) ? 0.0 : c));
-      const bool same_opt =
-          std::isnan(w) ||
-          (std::fabs(w - c) <= tol && std::fabs(d - c) <= tol);
+      const bool same_opt = std::isnan(w) || std::fabs(w - c) <= tol;
       if (same_feas && same_opt) {
         ++objective_matches;
       } else {
         std::cerr << "OBJECTIVE DIVERGENCE: " << s.name << " step " << t
-                  << " warm " << w << " cold " << c << " dense " << d << '\n';
+                  << " warm " << w << " cold " << c << '\n';
         identity_ok = false;
       }
     }
 
     const double speedup =
         cold.solve_seconds / std::max(1e-12, warm.solve_seconds);
-    const double dense_speedup =
-        dense.solve_seconds / std::max(1e-12, warm.solve_seconds);
     log_speedup_sum += std::log(std::max(1e-12, speedup));
-    log_dense_speedup_sum += std::log(std::max(1e-12, dense_speedup));
     ++measured;
 
     const std::size_t rows = model.linear_constraints().size();
@@ -357,7 +340,6 @@ int main(int argc, char** argv) {
     table.cell(static_cast<long long>(rows));
     table.cell(warm.solve_seconds * 1e3, 2);
     table.cell(cold.solve_seconds * 1e3, 2);
-    table.cell(dense.solve_seconds * 1e3, 2);
     table.cell(speedup, 2);
     table.cell(static_cast<long long>(warm.pivots));
     table.cell(static_cast<long long>(cold.pivots));
@@ -371,8 +353,6 @@ int main(int argc, char** argv) {
                  static_cast<double>(warm.phase1_pivots), "count");
     artifact.add(s.name, 0.0, "cold_pivots",
                  static_cast<double>(cold.pivots), "count");
-    artifact.add(s.name, 0.0, "dense_pivots",
-                 static_cast<double>(dense.pivots), "count");
     artifact.add(s.name, 0.0, "warm_factorizations",
                  static_cast<double>(warm.factorizations), "count");
     artifact.add(s.name, 0.0, "warm_refactorizations",
@@ -391,23 +371,15 @@ int main(int argc, char** argv) {
                  report::Stability::kTiming);
     artifact.add(s.name, 0.0, "cold_ms", cold.solve_seconds * 1e3, "ms",
                  report::Stability::kTiming);
-    artifact.add(s.name, 0.0, "dense_ms", dense.solve_seconds * 1e3, "ms",
-                 report::Stability::kTiming);
     artifact.add(s.name, 0.0, "speedup_warm_vs_cold", speedup, "",
-                 report::Stability::kTiming);
-    artifact.add(s.name, 0.0, "speedup_warm_vs_dense", dense_speedup, "",
                  report::Stability::kTiming);
   }
 
   std::cout << table;
   const double geomean =
       measured > 0 ? std::exp(log_speedup_sum / measured) : 0.0;
-  const double dense_geomean =
-      measured > 0 ? std::exp(log_dense_speedup_sum / measured) : 0.0;
-  std::cout << "geomean warm-vs-cold speedup:  "
-            << common::format_fixed(geomean, 2) << "x\n"
-            << "geomean warm-vs-dense speedup: "
-            << common::format_fixed(dense_geomean, 2) << "x\n";
+  std::cout << "geomean warm-vs-cold speedup: "
+            << common::format_fixed(geomean, 2) << "x\n";
   bool gate_ok = true;
   if (!smoke && geomean < 2.0) {
     std::cerr << "SPEEDUP GATE: geomean warm-vs-cold "
@@ -420,8 +392,6 @@ int main(int argc, char** argv) {
                       "count");
   artifact.add_scalar("summary", "geomean_speedup_warm_vs_cold", geomean, "",
                       report::Stability::kTiming);
-  artifact.add_scalar("summary", "geomean_speedup_warm_vs_dense",
-                      dense_geomean, "", report::Stability::kTiming);
   artifact.add_scalar("summary", "smoke", smoke ? 1.0 : 0.0, "count");
   artifact.canonicalize();
   if (!report::write_file(artifact, out_path)) {

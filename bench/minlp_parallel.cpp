@@ -193,8 +193,6 @@ void record_case(report::ResultSet* results, const CaseResult& c) {
                  static_cast<double>(s.lp_eta_updates), "count");
     results->add(series, x, "lp_bound_flips",
                  static_cast<double>(s.lp_bound_flips), "count");
-    results->add(series, x, "lp_bt_fallbacks",
-                 static_cast<double>(s.lp_bt_fallbacks), "count");
     results->add(series, x, "objective_s", r.result.objective, "s");
   }
 }

@@ -24,11 +24,8 @@
 //      matter how fast the machine is.  4-thread speedup is recorded per
 //      scenario; in full mode a best speedup below 1.5x prints a warning
 //      (shared machine?), in smoke mode timings are not meaningful.  Each
-//      scaling scenario additionally runs a dense-tableau A/B arm
-//      (SolverOptions::lp_engine = kDense) that must land on the same
-//      answer; its wall time and the per-node LP phase breakdown
-//      (factor/update/pivot ms and counts) make the sparse engine's win
-//      attributable rather than asserted.
+//      run records the per-node LP phase breakdown (factor/update/pivot ms
+//      and counts).
 //
 // The artifact (PR 5 schema) carries deterministic cells (objectives,
 // node counts, expectation verdicts) plus kTiming cells for wall-clock
@@ -99,15 +96,6 @@ struct ScalingCase {
   std::vector<ScalingRun> runs;
   bool byte_identical = true;
   double speedup_4_vs_1 = 0.0;
-  // Dense-tableau A/B arm (1 thread, lp_engine = kDense): same model and
-  // node budget, different per-node LP machinery.
-  double dense_seconds = 0.0;
-  minlp::MinlpResult dense_result;
-  bool dense_comparable = false;   ///< both arms solved to optimality
-  bool dense_same_answer = true;   ///< objective agrees (tolerance); vacuous
-                                   ///< when not comparable
-  bool dense_bit_identical = false; ///< solution fingerprints match bit-for-bit
-  double speedup_sparse_vs_dense = 0.0;
 };
 
 minlp::MinlpResult solve_scenario(const scen::Scenario& s,
@@ -160,7 +148,7 @@ int main(int argc, char** argv) {
   const std::string title = "Scenario corpus solve sweep (DSL-lowered MINLPs)";
   const std::string reference =
       "generated corpus with planted optima / certified brackets;"
-      " byte-identical across 1/2/4/8 threads; dense-engine A/B arm";
+      " byte-identical across 1/2/4/8 threads";
   bench::banner(title, reference);
 
   // --- Assemble the corpus -------------------------------------------------
@@ -209,8 +197,6 @@ int main(int argc, char** argv) {
   accuracy_options.threads = 1;
   accuracy_options.max_wall_seconds = smoke ? 10.0 : 60.0;
   bool accuracy_ok = true;
-  bool dense_accuracy_ok = true;
-  int dense_accuracy_checked = 0;
   for (const scen::Scenario& s : scenarios) {
     const std::string family = family_of(s.name);
     const bool graded_in = family.rfind("small", 0) == 0 ||
@@ -238,30 +224,6 @@ int main(int argc, char** argv) {
                  "count");
     artifact.add(family, x, "solve_ms", result.stats.wall_seconds * 1e3, "ms",
                  report::Stability::kTiming);
-    // Dense-engine A/B on the solved-to-optimality small instances: the
-    // legacy tableau path must land inside the same expectation window and
-    // on (numerically) the same optimum as the sparse engine.  Small
-    // families only -- dense solves of the medium DAGs take long enough to
-    // trip the wall budget, which would make the check about speed, not
-    // correctness.
-    if (family.rfind("small", 0) == 0) {
-      minlp::SolverOptions dense_acc = accuracy_options;
-      dense_acc.lp_engine = lp::LpEngine::kDense;
-      const minlp::MinlpResult dense_result = solve_scenario(s, dense_acc);
-      const bool dense_ok =
-          within_expectation(s, dense_result) &&
-          std::fabs(dense_result.objective - result.objective) <=
-              1e-6 * std::max(1.0, std::fabs(result.objective));
-      dense_accuracy_checked += 1;
-      dense_accuracy_ok = dense_accuracy_ok && dense_ok;
-      artifact.add(family, x, "dense_within", dense_ok ? 1.0 : 0.0, "count");
-      if (!dense_ok) {
-        std::cerr << "ACCURACY MISS (dense engine): " << s.name << " status "
-                  << minlp::to_string(dense_result.status) << " objective "
-                  << dense_result.objective << " vs sparse "
-                  << result.objective << '\n';
-      }
-    }
     if (scen::nlp_bb_eligible(s)) {
       scen::ScenarioModelVars vars;
       const minlp::Model model = scen::build_scenario_model(s, &vars);
@@ -334,11 +296,7 @@ int main(int argc, char** argv) {
       std::min<std::size_t>(large.size(), smoke ? 1 : 3);
   const std::vector<int> thread_counts = {1, 2, 4, 8};
   bool all_identical = true;
-  bool all_dense_match = true;
-  bool all_dense_bits = true;
-  int dense_comparable_count = 0;
   double best_speedup = 0.0;
-  double best_vs_dense = 0.0;
   std::vector<ScalingCase> scaling;
   for (std::size_t i = 0; i < scaling_count; ++i) {
     const scen::Scenario& s = *large[i];
@@ -386,48 +344,6 @@ int main(int argc, char** argv) {
     sc.speedup_4_vs_1 = sc.runs[0].seconds / std::max(1e-12, sc.runs[2].seconds);
     best_speedup = std::max(best_speedup, sc.speedup_4_vs_1);
     all_identical = all_identical && sc.byte_identical;
-
-    // Dense-path arm: the same scenario and node budget through the legacy
-    // dense tableau engine at one thread.  The two engines must land on the
-    // same answer; bit identity of the solution is recorded separately
-    // because the engines' arithmetic (maintained LU solves vs dense
-    // eliminations) is only guaranteed to agree to tolerance.
-    std::cerr << "  " << s.name << ": dense simplex arm\n";
-    minlp::SolverOptions dense_options = base;
-    dense_options.threads = 1;
-    dense_options.lp_engine = lp::LpEngine::kDense;
-    sc.dense_seconds = 1e300;
-    for (int r = 0; r < repeats; ++r) {
-      minlp::MinlpResult result = solve_scenario(s, dense_options);
-      sc.dense_seconds = std::min(sc.dense_seconds, result.stats.wall_seconds);
-      if (r == 0) {
-        sc.dense_result = std::move(result);
-      }
-    }
-    const minlp::MinlpResult& sparse_one = sc.runs[0].result;
-    // The answers are only comparable when both searches ran to optimality:
-    // under a node-budget truncation, ulp-level arithmetic differences
-    // between the engines legitimately reroute the tree, and two different
-    // partial searches report different incumbents.  (The accuracy sweep
-    // above carries the solved-to-optimality dense A/B gate.)
-    sc.dense_comparable =
-        sc.dense_result.status == minlp::MinlpStatus::kOptimal &&
-        sparse_one.status == minlp::MinlpStatus::kOptimal;
-    if (sc.dense_comparable) {
-      sc.dense_same_answer =
-          std::fabs(sc.dense_result.objective - sparse_one.objective) <=
-          1e-6 * std::max(1.0, std::fabs(sparse_one.objective));
-      sc.dense_bit_identical = bench::solution_fingerprint(sc.dense_result) ==
-                               bench::solution_fingerprint(sparse_one);
-    }
-    sc.speedup_sparse_vs_dense =
-        sc.dense_seconds / std::max(1e-12, sc.runs[0].seconds);
-    all_dense_match = all_dense_match && sc.dense_same_answer;
-    if (sc.dense_comparable) {
-      dense_comparable_count += 1;
-      all_dense_bits = all_dense_bits && sc.dense_bit_identical;
-    }
-    best_vs_dense = std::max(best_vs_dense, sc.speedup_sparse_vs_dense);
     scaling.push_back(std::move(sc));
   }
 
@@ -447,19 +363,6 @@ int main(int argc, char** argv) {
       scaling_table.cell(st.lp_pivot_seconds * 1e3, 2);
       scaling_table.cell(static_cast<long long>(st.lp_eta_updates));
       scaling_table.cell(sc.runs[0].seconds / std::max(1e-12, run.seconds), 2);
-    }
-    {
-      const minlp::SolveStats& st = sc.dense_result.stats;
-      scaling_table.add_row();
-      scaling_table.cell(std::string(""));
-      scaling_table.cell(static_cast<long long>(sc.components));
-      scaling_table.cell(std::string("dense"));
-      scaling_table.cell(sc.dense_seconds * 1e3, 2);
-      scaling_table.cell(static_cast<long long>(st.nodes_explored));
-      scaling_table.cell(st.lp_factor_seconds * 1e3, 2);
-      scaling_table.cell(st.lp_pivot_seconds * 1e3, 2);
-      scaling_table.cell(static_cast<long long>(st.lp_eta_updates));
-      scaling_table.cell(sc.speedup_sparse_vs_dense, 2);
     }
     const std::string series = "scaling/" + sc.name;
     for (const ScalingRun& run : sc.runs) {
@@ -491,56 +394,20 @@ int main(int argc, char** argv) {
                    static_cast<double>(st.lp_eta_updates), "count");
       artifact.add(series, run.threads, "lp_bound_flips",
                    static_cast<double>(st.lp_bound_flips), "count");
-      artifact.add(series, run.threads, "lp_bt_fallbacks",
-                   static_cast<double>(st.lp_bt_fallbacks), "count");
     }
     artifact.add(series, 0.0, "byte_identical", sc.byte_identical ? 1.0 : 0.0,
                  "count");
     artifact.add(series, 0.0, "speedup_4_vs_1", sc.speedup_4_vs_1, "",
                  report::Stability::kTiming);
-    // Dense-arm cells: the A/B answer checks are deterministic; wall time
-    // and the derived speedup are not.
-    artifact.add(series, 0.0, "dense_ms", sc.dense_seconds * 1e3, "ms",
-                 report::Stability::kTiming);
-    artifact.add(series, 0.0, "speedup_sparse_vs_dense",
-                 sc.speedup_sparse_vs_dense, "", report::Stability::kTiming);
-    artifact.add(series, 0.0, "dense_bb_nodes",
-                 static_cast<double>(sc.dense_result.stats.nodes_explored),
-                 "count");
-    artifact.add(series, 0.0, "dense_comparable",
-                 sc.dense_comparable ? 1.0 : 0.0, "count");
-    artifact.add(series, 0.0, "dense_same_answer",
-                 sc.dense_same_answer ? 1.0 : 0.0, "count");
-    artifact.add(series, 0.0, "dense_bit_identical",
-                 sc.dense_bit_identical ? 1.0 : 0.0, "count");
   }
   std::cout << scaling_table;
   std::cout << "byte-identical across 1/2/4/8 threads: "
             << (all_identical ? "yes" : "NO") << '\n';
-  if (dense_comparable_count > 0) {
-    std::cout << "dense arm lands on the same answer ("
-              << dense_comparable_count << " comparable): "
-              << (all_dense_match ? "yes" : "NO")
-              << (all_dense_bits ? " (bit-identical solutions)"
-                                 : " (to tolerance; bit patterns differ)")
-              << '\n';
-  } else {
-    std::cout << "dense arm: no scaling scenario ran to optimality inside the"
-                 " node budget; answer gate carried by the accuracy sweep ("
-              << dense_accuracy_checked << " dense A/B solves, "
-              << (dense_accuracy_ok ? "all on target" : "MISSES") << ")\n";
-  }
   std::cout << "best 4-thread speedup on a large scenario: "
-            << common::format_fixed(best_speedup, 2) << "x\n"
-            << "best sparse-vs-dense speedup (1 thread): "
-            << common::format_fixed(best_vs_dense, 2) << "x\n";
+            << common::format_fixed(best_speedup, 2) << "x\n";
   if (!smoke && best_speedup < 1.5) {
     std::cout << "warning: best 4-thread speedup below 1.5x"
                  " (shared or small machine?)\n";
-  }
-  if (!smoke && best_vs_dense < 1.0) {
-    std::cout << "warning: sparse engine not faster than the dense tableau"
-                 " path on any large scenario\n";
   }
 
   artifact.add_scalar("summary", "scenarios",
@@ -551,20 +418,8 @@ int main(int argc, char** argv) {
   artifact.add_scalar("summary", "nlp_bb_checked", total_nlp_bb, "count");
   artifact.add_scalar("summary", "byte_identical", all_identical ? 1.0 : 0.0,
                       "count");
-  artifact.add_scalar("summary", "dense_accuracy_checked",
-                      dense_accuracy_checked, "count");
-  artifact.add_scalar("summary", "dense_accuracy_ok",
-                      dense_accuracy_ok ? 1.0 : 0.0, "count");
-  artifact.add_scalar("summary", "dense_comparable", dense_comparable_count,
-                      "count");
-  artifact.add_scalar("summary", "dense_same_answer",
-                      all_dense_match ? 1.0 : 0.0, "count");
-  artifact.add_scalar("summary", "dense_bit_identical",
-                      all_dense_bits ? 1.0 : 0.0, "count");
   artifact.add_scalar("summary", "best_speedup_4_vs_1", best_speedup, "",
                       report::Stability::kTiming);
-  artifact.add_scalar("summary", "best_speedup_sparse_vs_dense", best_vs_dense,
-                      "", report::Stability::kTiming);
   artifact.add_scalar("summary", "smoke", smoke ? 1.0 : 0.0, "count");
   artifact.canonicalize();
   if (!report::write_file(artifact, out_path)) {
@@ -572,7 +427,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cout << "JSON written to " << out_path << '\n';
-  return bench::finish(
-      std::move(artifact), artifact_options,
-      accuracy_ok && dense_accuracy_ok && all_identical && all_dense_match);
+  return bench::finish(std::move(artifact), artifact_options,
+                       accuracy_ok && all_identical);
 }

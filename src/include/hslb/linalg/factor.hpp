@@ -18,12 +18,6 @@ class LuFactor {
   /// Solve A x = b.
   Vector solve(std::span<const double> b) const;
 
-  /// Solve A^T y = b from the same factorization (A^T = U^T L^T P).  A and
-  /// A^T are singular together, so callers that need both orientations get
-  /// one consistent verdict instead of two factorizations that can disagree
-  /// on badly row-scaled matrices.
-  Vector solve_transposed(std::span<const double> b) const;
-
   /// Determinant of A (product of pivots with sign).
   double determinant() const;
 

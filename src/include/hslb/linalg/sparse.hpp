@@ -3,8 +3,8 @@
 // The LP constraint matrices in this library are sparse (chord rows carry
 // two or three structural entries, cut rows a handful) and the simplex
 // basis changes by one column per pivot, so refactorizing a dense B every
-// iteration -- what the legacy engine does -- wastes almost all of its
-// work.  This module provides the three pieces the revised simplex needs:
+// iteration would waste almost all of its work.  This module provides the
+// three pieces the revised simplex needs:
 //
 //  * SparseColumns -- compressed column storage (CSC), built once.
 //  * SparseLu      -- LU of a sparse basis with Markowitz pivoting: each

@@ -5,14 +5,12 @@
 // basis change) and artificial variables for Phase I.  Dantzig pricing with
 // a Bland's-rule fallback guarantees termination.
 //
-// Two engines share these rules.  The default sparse engine stores the
-// constraint matrix in CSC form, factorizes the basis once per (re)start
-// with a Markowitz-pivoting sparse LU, and applies product-form eta updates
-// on each pivot -- pricing runs through BTRAN/FTRAN on the maintained
-// factor, and a deterministic trigger (eta count / fill / pivot stability)
-// forces a refactorization when the eta file degrades.  The legacy dense
-// engine refactorizes every pivot; it survives as the comparison baseline
-// and a bit-stable reference (see DESIGN.md section 15).
+// The constraint matrix is stored in CSC form, the basis is factorized once
+// per (re)start with a Markowitz-pivoting sparse LU, and each pivot is
+// absorbed as a product-form eta update -- pricing runs through BTRAN/FTRAN
+// on the maintained factor, and a deterministic trigger (eta count / fill /
+// pivot stability) forces a refactorization when the eta file degrades
+// (see DESIGN.md section 15).
 //
 // Warm starts: a solve may capture its optimal Basis (statuses of the
 // structural columns and the row slacks), and resolve_from_basis() restarts
@@ -79,12 +77,6 @@ struct Basis {
                               std::span<const std::uint64_t> from_keys,
                               std::span<const std::uint64_t> to_keys);
 
-/// Which simplex implementation runs the pivot rules.
-enum class LpEngine : unsigned char {
-  kSparse = 0,  ///< maintained sparse LU + eta updates (the default)
-  kDense,       ///< legacy dense LU refactorized every pivot
-};
-
 struct SimplexOptions {
   double feasibility_tol = 1e-7;   ///< bound/row violation tolerance
   double optimality_tol = 1e-8;    ///< reduced-cost tolerance
@@ -93,16 +85,13 @@ struct SimplexOptions {
   /// (for warm-starting a related re-solve).  Off by default: capturing
   /// copies two status vectors per solve.
   bool capture_basis = false;
-  /// Engine selection; kSparse unless a caller explicitly wants the dense
-  /// baseline (benchmarks, regression comparison).
-  LpEngine engine = LpEngine::kSparse;
-  /// Sparse engine: refactorize once this many eta updates accumulate.
+  /// Refactorize once this many eta updates accumulate.
   int refactor_interval = 64;
-  /// Sparse engine: refactorize when the eta file's entries exceed this
-  /// multiple of the base factor's fill (plus a small per-row allowance).
+  /// Refactorize when the eta file's entries exceed this multiple of the
+  /// base factor's fill (plus a small per-row allowance).
   double eta_fill_factor = 4.0;
-  /// Sparse engine: refuse an eta whose pivot |w_r| falls below this
-  /// fraction of max(1, ||w||_inf) and refactorize instead.
+  /// Refuse an eta whose pivot |w_r| falls below this fraction of
+  /// max(1, ||w||_inf) and refactorize instead.
   double eta_stability_tol = 1e-8;
 };
 
@@ -124,14 +113,10 @@ struct LpSolution {
   Basis basis;
 
   // --- factorization accounting (all deterministic) ---
-  long factorizations = 0;    ///< fresh basis LUs built (both engines)
+  long factorizations = 0;    ///< fresh basis LUs built
   long refactorizations = 0;  ///< LUs forced by an eta trigger mid-solve
   long eta_updates = 0;       ///< product-form updates appended
   long bound_flips = 0;       ///< pivots resolved without a basis change
-  /// Dense engine only: pricing solves where the absolute pivot threshold
-  /// rejected the B^T factorization and the system was solved through the
-  /// factorization of B instead (see LuFactor::solve_transposed).
-  long bt_fallbacks = 0;
 
   // --- phase timing (wall clock; excluded from fingerprints) ---
   double factor_seconds = 0.0;  ///< building LU factorizations

@@ -117,10 +117,6 @@ struct SolverOptions {
   /// (remapped by stable row keys).  Deterministic: the warm basis a node
   /// inherits depends only on the epoch structure, never on thread count.
   bool warm_start_lp = true;
-  /// Simplex engine for every master-LP solve.  kSparse (the default) is
-  /// the maintained-factor revised simplex; kDense keeps the dense tableau
-  /// path selectable for A/B comparison (bench_scen_corpus's dense arm).
-  lp::LpEngine lp_engine = lp::LpEngine::kSparse;
   /// Cap on pooled cuts; the oldest non-root cuts age out at epoch
   /// boundaries (a deterministic point) when the pool exceeds this.
   std::size_t max_pool_cuts = 512;
@@ -157,7 +153,6 @@ struct SolveStats {
   long lp_refactorizations = 0;  ///< eta-triggered mid-solve refactorizations
   long lp_eta_updates = 0;       ///< product-form basis updates appended
   long lp_bound_flips = 0;       ///< pivots resolved without a basis change
-  long lp_bt_fallbacks = 0;      ///< dense-engine B^T solve fallbacks
   long warm_incumbent_primes = 0;  ///< solves seeded from a prior incumbent
   double lp_seconds = 0.0;     ///< wall time inside master-LP solves
   double lp_factor_seconds = 0.0;  ///< LP time building LU factorizations

@@ -77,9 +77,7 @@ struct QueueingCheck {
 
 /// LP engine health rolled up over every "minlp.epoch" span in the trace:
 /// where LP time went (factorize / eta update / pivot) and the maintained-
-/// factor event counts the solver tagged onto its epoch spans.  A nonzero
-/// `bt_fallbacks` means some B^T solve left the factored fast path and
-/// solved through B instead -- previously silent, now attributable.
+/// factor event counts the solver tagged onto its epoch spans.
 struct LpEngineRollup {
   double lp_ms = 0.0;      ///< summed LP wall time across epochs
   double factor_ms = 0.0;  ///< ... spent building LU factorizations
@@ -87,7 +85,6 @@ struct LpEngineRollup {
   double pivot_ms = 0.0;   ///< ... spent in the pivot loops proper
   long eta_updates = 0;
   long refactorizations = 0;
-  long bt_fallbacks = 0;
   long epochs = 0;  ///< minlp.epoch spans seen (0: trace carries no solver)
 };
 

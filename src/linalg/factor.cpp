@@ -77,35 +77,6 @@ Vector LuFactor::solve(std::span<const double> b) const {
   return x;
 }
 
-Vector LuFactor::solve_transposed(std::span<const double> b) const {
-  const std::size_t n = dim();
-  HSLB_REQUIRE(b.size() == n, "LU solve rhs size mismatch");
-  // P A = L U, so A^T y = b becomes U^T L^T (P y) = b.
-  Vector z(n);
-  // Forward substitution with U^T (lower triangular, diagonal from U).
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (std::size_t j = 0; j < i; ++j) {
-      sum -= lu_(j, i) * z[j];
-    }
-    z[i] = sum / lu_(i, i);
-  }
-  // Back substitution with L^T (unit upper triangular), in place.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double sum = z[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) {
-      sum -= lu_(j, ii) * z[j];
-    }
-    z[ii] = sum;
-  }
-  // Undo the row permutation: y = P^T z.
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    y[perm_[i]] = z[i];
-  }
-  return y;
-}
-
 double LuFactor::determinant() const {
   double det = perm_sign_;
   for (std::size_t i = 0; i < dim(); ++i) {

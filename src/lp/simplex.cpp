@@ -1,26 +1,16 @@
-// Two-phase bounded-variable primal simplex, two engines.
+// Two-phase bounded-variable primal simplex.
 //
 // Internal standard form: one slack per row turns `rlo <= a.x <= rup` into
 // `a.x - s = 0, s in [rlo, rup]`, and Phase I adds one artificial column per
 // row with a +/-1 coefficient chosen so the artificial starts nonnegative.
 //
-// The default sparse engine (SparseSimplex) transposes the problem's
-// compressed rows into CSC form once per solve (a counting sort,
-// O(nnz + n)), factorizes the basis once per (re)start with a Markowitz
-// sparse LU, and absorbs each pivot as a product-form eta update; a
-// deterministic trigger (eta count, eta fill, or a refused unstable update)
-// forces a refactorization.  Every solve factors its own starting basis; a
-// warm re-solve inherits only the parent's basis.  See DESIGN.md section 15.
-//
-// The legacy dense engine (DenseSimplex) densifies the rows once and
-// applies the basis inverse through a fresh dense LU factorization each
-// pivot.  It survives as the comparison baseline for bench_lp_resolve and
-// as a second opinion in the property tests.  B and B^T are singular
-// together mathematically, but the dense absolute pivot threshold can
-// reject one orientation of a badly row-scaled basis while accepting the
-// other; wherever both orientations are needed, the factorization of B is
-// the authority and B^T systems fall back to LuFactor::solve_transposed on
-// it (counted as bt_fallbacks).
+// SparseSimplex transposes the problem's compressed rows into CSC form once
+// per solve (a counting sort, O(nnz + n)), factorizes the basis once per
+// (re)start with a Markowitz sparse LU, and absorbs each pivot as a
+// product-form eta update; a deterministic trigger (eta count, eta fill, or
+// a refused unstable update) forces a refactorization.  Every solve factors
+// its own starting basis; a warm re-solve inherits only the parent's basis.
+// See DESIGN.md section 15.
 //
 // Warm starts (resolve_from_basis) reuse a captured basis when it is still
 // complete and factorizable.  If the basis is also primal feasible, Phase I
@@ -41,7 +31,6 @@
 
 #include "hslb/common/error.hpp"
 #include "hslb/common/timing.hpp"
-#include "hslb/linalg/factor.hpp"
 #include "hslb/linalg/sparse.hpp"
 #include "hslb/obs/obs.hpp"
 
@@ -50,8 +39,6 @@ namespace hslb::lp {
 namespace {
 
 using linalg::EtaFile;
-using linalg::LuFactor;
-using linalg::Matrix;
 using linalg::SparseColumns;
 using linalg::SparseLu;
 using linalg::SparseLuOptions;
@@ -66,690 +53,8 @@ enum class WarmMode {
   kDualRepair,  ///< warm basis repaired by dual pivots; Phase I skipped
 };
 
-/// Legacy engine: full dense working state over structural + slack +
-/// artificial columns, refactorizing every pivot.
-class DenseSimplex {
- public:
-  DenseSimplex(const LpProblem& problem, const SimplexOptions& options)
-      : problem_(problem), opts_(options) {
-    n_ = problem.num_vars();
-    m_ = problem.num_rows();
-    total_ = n_ + 2 * m_;  // structural | slack | artificial
-
-    lower_.assign(total_, -kInf);
-    upper_.assign(total_, kInf);
-    for (std::size_t j = 0; j < n_; ++j) {
-      lower_[j] = problem.col_lower()[j];
-      upper_[j] = problem.col_upper()[j];
-    }
-    // The constraint matrix, densified once: this engine reads A entry by
-    // entry.
-    a_ = Matrix(m_, n_);
-    for (std::size_t i = 0; i < m_; ++i) {
-      const Row row = problem.row(i);
-      for (const auto& [j, v] : row.terms) {
-        a_(i, j) = v;
-      }
-      lower_[n_ + i] = row.lower;
-      upper_[n_ + i] = row.upper;
-      lower_[n_ + m_ + i] = 0.0;  // artificials
-    }
-
-    // Column-access helper matrix: rows of [A | -I | G] where G is the
-    // artificial sign matrix, filled in by init_basis().
-    art_sign_.assign(m_, 1.0);
-
-    status_.assign(total_, VarStatus::kAtLower);
-    value_.assign(total_, 0.0);
-    for (std::size_t j = 0; j < total_; ++j) {
-      init_nonbasic(j);
-    }
-
-    init_basis();
-  }
-
-  LpSolution run(const Basis* warm) {
-    LpSolution out;
-
-    // The Phase-II objective, also used to price the dual repair pivots.
-    Vector cost(total_, 0.0);
-    for (std::size_t j = 0; j < n_; ++j) {
-      cost[j] = problem_.cost()[j];
-    }
-
-    WarmMode mode = WarmMode::kCold;
-    if (warm != nullptr && !warm->empty()) {
-      mode = prepare_warm(*warm, cost);
-    }
-    out.warm_used = mode != WarmMode::kCold;
-    out.warm_phase1_skipped = mode != WarmMode::kCold;
-
-    if (mode == WarmMode::kCold) {
-      // ---- Phase I: minimize the sum of artificial values. ----
-      Vector phase1_cost(total_, 0.0);
-      for (std::size_t i = 0; i < m_; ++i) {
-        phase1_cost[n_ + m_ + i] = 1.0;
-      }
-      const LpStatus st1 = optimize(phase1_cost);
-      out.phase1_iterations = iterations_;
-      if (st1 == LpStatus::kIterationLimit) {
-        out.status = st1;
-        finalize(out);
-        return out;
-      }
-      double infeasibility = 0.0;
-      for (std::size_t i = 0; i < m_; ++i) {
-        infeasibility += value_[n_ + m_ + i];
-      }
-      if (infeasibility >
-          opts_.feasibility_tol * std::max<double>(1.0, static_cast<double>(m_))) {
-        out.status = LpStatus::kInfeasible;
-        finalize(out);
-        return out;
-      }
-    }
-
-    // Freeze artificials at zero for Phase II.
-    for (std::size_t i = 0; i < m_; ++i) {
-      const std::size_t a = n_ + m_ + i;
-      lower_[a] = upper_[a] = 0.0;
-      if (status_[a] != VarStatus::kBasic) {
-        status_[a] = VarStatus::kFixed;
-        value_[a] = 0.0;
-      }
-    }
-
-    // ---- Phase II: the real objective. ----
-    const LpStatus st2 = optimize(cost);
-    out.status = st2;
-    finalize(out);
-    if (st2 == LpStatus::kOptimal) {
-      out.x.assign(value_.begin(), value_.begin() + static_cast<std::ptrdiff_t>(n_));
-      out.objective = problem_.objective_offset();
-      for (std::size_t j = 0; j < n_; ++j) {
-        out.objective += problem_.cost()[j] * out.x[j];
-      }
-      if (opts_.capture_basis) {
-        capture_basis(out.basis);
-      }
-    }
-    return out;
-  }
-
- private:
-  void finalize(LpSolution& out) const {
-    out.iterations = iterations_;
-    out.factorizations = factorizations_;
-    out.bt_fallbacks = bt_fallbacks_;
-    out.bound_flips = bound_flips_;
-    out.factor_seconds = factor_seconds_;
-  }
-
-  /// Coefficient of column j in row i of [A | -I | G].
-  double coeff(std::size_t i, std::size_t j) const {
-    if (j < n_) {
-      return a_(i, j);
-    }
-    if (j < n_ + m_) {
-      return j - n_ == i ? -1.0 : 0.0;
-    }
-    return j - n_ - m_ == i ? art_sign_[i] : 0.0;
-  }
-
-  /// Place a freshly created nonbasic variable at its natural resting value.
-  void init_nonbasic(std::size_t j) {
-    const double lo = lower_[j];
-    const double hi = upper_[j];
-    if (lo == hi) {
-      status_[j] = VarStatus::kFixed;
-      value_[j] = lo;
-    } else if (std::isfinite(lo) && std::isfinite(hi)) {
-      const bool lower_closer = std::fabs(lo) <= std::fabs(hi);
-      status_[j] = lower_closer ? VarStatus::kAtLower : VarStatus::kAtUpper;
-      value_[j] = lower_closer ? lo : hi;
-    } else if (std::isfinite(lo)) {
-      status_[j] = VarStatus::kAtLower;
-      value_[j] = lo;
-    } else if (std::isfinite(hi)) {
-      status_[j] = VarStatus::kAtUpper;
-      value_[j] = hi;
-    } else {
-      status_[j] = VarStatus::kFree;
-      value_[j] = 0.0;
-    }
-  }
-
-  /// Choose artificial signs so every artificial starts >= 0, and make the
-  /// artificials the initial basis.
-  void init_basis() {
-    basis_.resize(m_);
-    for (std::size_t i = 0; i < m_; ++i) {
-      // Row residual with artificial at zero: sum over structural + slack.
-      double v = 0.0;
-      for (std::size_t j = 0; j < n_; ++j) {
-        v += a_(i, j) * value_[j];
-      }
-      v -= value_[n_ + i];  // slack column is -1
-      // Need v + g * t = 0 with t >= 0  =>  g = -sign(v), t = |v|.
-      art_sign_[i] = v > 0.0 ? -1.0 : 1.0;
-      const std::size_t a = n_ + m_ + i;
-      basis_[i] = a;
-      status_[a] = VarStatus::kBasic;
-      value_[a] = std::fabs(v);
-    }
-  }
-
-  /// Absorb a warm basis.  The warm basic set must be complete and
-  /// factorizable; if it is also primal feasible, Phase I is skipped
-  /// outright (kReuse), and if not, a dual-simplex repair phase pivots the
-  /// violated basics out (kDualRepair) -- the branch-and-bound norm, since
-  /// a child's bound change or a fresh cut exists precisely to cut off the
-  /// parent's optimum, at which the captured basis rests.  On any failure
-  /// the working state is reset to the cold all-artificial start.  (An
-  /// earlier revision fell back to a "crash" start that seeded Phase I from
-  /// the warm nonbasic placements; measured on the branch-and-bound
-  /// workload it *increased* Phase I pivots by ~50% -- after branching the
-  /// parent's resting point is exactly the vertex the child excludes -- so
-  /// the fallback is now a clean cold start.)
-  WarmMode prepare_warm(const Basis& warm, const Vector& phase2_cost) {
-    if (warm.cols.size() != n_ || warm.row_slacks.size() != m_) {
-      return WarmMode::kCold;
-    }
-    std::vector<std::size_t> candidates;
-    candidates.reserve(m_);
-    for (std::size_t j = 0; j < n_ + m_; ++j) {
-      const BasisStatus s =
-          j < n_ ? warm.cols[j] : warm.row_slacks[j - n_];
-      switch (s) {
-        case BasisStatus::kBasic:
-          candidates.push_back(j);
-          break;
-        case BasisStatus::kAtLower:
-          if (std::isfinite(lower_[j]) && lower_[j] != upper_[j]) {
-            status_[j] = VarStatus::kAtLower;
-            value_[j] = lower_[j];
-          }
-          break;
-        case BasisStatus::kAtUpper:
-          if (std::isfinite(upper_[j]) && lower_[j] != upper_[j]) {
-            status_[j] = VarStatus::kAtUpper;
-            value_[j] = upper_[j];
-          }
-          break;
-        case BasisStatus::kFree:
-          if (!std::isfinite(lower_[j]) && !std::isfinite(upper_[j])) {
-            status_[j] = VarStatus::kFree;
-            value_[j] = 0.0;
-          }
-          break;
-        case BasisStatus::kFixed:
-        case BasisStatus::kUnset:
-          break;  // keep the constructor's resting placement
-      }
-    }
-
-    if (candidates.size() == m_) {
-      basis_ = candidates;
-      for (const std::size_t c : candidates) {
-        status_[c] = VarStatus::kBasic;
-      }
-      // Artificials out of the basis, resting at zero.
-      for (std::size_t i = 0; i < m_; ++i) {
-        const std::size_t a = n_ + m_ + i;
-        status_[a] = VarStatus::kAtLower;
-        value_[a] = 0.0;
-      }
-      if (const auto lu = factor_basis()) {
-        // Require both orientations to factor before accepting the basis:
-        // a warm basis that only factors as B is too ill-conditioned to
-        // price reliably (see dual_repair), so it goes to the cold start.
-        Matrix bt(m_, m_);
-        for (std::size_t i = 0; i < m_; ++i) {
-          for (std::size_t k = 0; k < m_; ++k) {
-            bt(i, k) = coeff(k, basis_[i]);
-          }
-        }
-        if (LuFactor::compute(bt).has_value()) {
-          refresh_basics(*lu);
-          if (basics_feasible()) {
-            return WarmMode::kReuse;
-          }
-          if (dual_repair(phase2_cost)) {
-            return WarmMode::kDualRepair;
-          }
-        }
-      }
-    }
-    // No reuse: rebuild the cold start from scratch (the scan above and a
-    // failed repair may have moved placements and the basis around).
-    for (std::size_t j = 0; j < total_; ++j) {
-      init_nonbasic(j);
-    }
-    init_basis();
-    return WarmMode::kCold;
-  }
-
-  bool basics_feasible() const {
-    // Absolute tolerance: Phase II never pulls a basic back inside its
-    // bound (the ratio test only blocks further excursions), so any slack
-    // granted here survives to the reported vertex.  A relative tolerance
-    // was measured to let values ~1e4 sit ~1e-3 outside their bounds,
-    // yielding super-optimal LP bounds that stall branch-and-bound pruning.
-    for (std::size_t i = 0; i < m_; ++i) {
-      const std::size_t bj = basis_[i];
-      const double v = value_[bj];
-      if (v < lower_[bj] - opts_.feasibility_tol ||
-          v > upper_[bj] + opts_.feasibility_tol) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Dual-simplex repair for the warm path: starting from a complete,
-  /// factorizable basis whose basic values violate their bounds, pivot the
-  /// most-violated basic out to its nearest bound and bring in the nonbasic
-  /// column winning the dual ratio test (|reduced cost| / |pivot|, priced
-  /// against the Phase-II objective), until every basic value is within
-  /// bounds.  Correctness does not rest on the pricing: any valid basis
-  /// change sequence that ends primal feasible is a legitimate Phase-II
-  /// start, so a stall, a singular basis, or the iteration cap simply
-  /// reports failure and the caller falls back to the cold start.  All
-  /// choices tie-break on the smallest index, so the repair is
-  /// deterministic.
-  bool dual_repair(const Vector& cost) {
-    // A repair that has not restored feasibility within ~m pivots is
-    // churning on degeneracy; the cold start is cheaper than letting it
-    // run (measured: pathological repairs averaged ~200 pivots under a
-    // 20m cap where a cold solve takes ~40).
-    const int cap = std::min(opts_.max_iterations - iterations_,
-                             static_cast<int>(m_) + 10);
-    // Stricter than the primal ratio test's 1e-9: a tiny repair pivot
-    // leaves a near-singular basis that Phase II inherits.  Refusing the
-    // pivot bails to the cold start instead.
-    const double pivot_tol = 1e-7;
-    for (int it = 0;; ++it) {
-      const auto lu = factor_basis();
-      if (!lu) {
-        return false;
-      }
-      refresh_basics(*lu);
-
-      // Leaving row: the most-violated basic (smallest row on ties).
-      std::ptrdiff_t r = -1;
-      bool above = false;
-      double worst = 0.0;
-      for (std::size_t i = 0; i < m_; ++i) {
-        const std::size_t bj = basis_[i];
-        const double v = value_[bj];
-        // Absolute tolerance, matching basics_feasible(): the repair must
-        // hand Phase II a vertex whose residual violations are too small
-        // to show up in the objective.
-        if (v < lower_[bj] - opts_.feasibility_tol && lower_[bj] - v > worst) {
-          worst = lower_[bj] - v;
-          r = static_cast<std::ptrdiff_t>(i);
-          above = false;
-        } else if (v > upper_[bj] + opts_.feasibility_tol &&
-                   v - upper_[bj] > worst) {
-          worst = v - upper_[bj];
-          r = static_cast<std::ptrdiff_t>(i);
-          above = true;
-        }
-      }
-      // Row r of B^{-1}A and the duals, via one factorization of B^T.
-      // Factored before the feasibility exit so success also certifies a
-      // well-conditioned basis in both orientations: repairs that end on a
-      // basis B^T refuses to factor were measured to leave Phase II at
-      // slightly sub-optimal vertices, whose too-low bounds then stall
-      // branch-and-bound pruning.  Bailing to the cold start is cheaper.
-      Matrix bt(m_, m_);
-      for (std::size_t i = 0; i < m_; ++i) {
-        for (std::size_t k = 0; k < m_; ++k) {
-          bt(i, k) = coeff(k, basis_[i]);
-        }
-      }
-      common::WallTimer bt_timer;
-      const auto lut = LuFactor::compute(bt);
-      factor_seconds_ += bt_timer.seconds();
-      if (!lut) {
-        return false;
-      }
-      if (r < 0) {
-        return true;  // primal feasible: ready for Phase II
-      }
-      if (it >= cap) {
-        return false;
-      }
-      Vector er(m_, 0.0);
-      er[static_cast<std::size_t>(r)] = 1.0;
-      const Vector w = lut->solve(er);
-      Vector cb(m_);
-      for (std::size_t i = 0; i < m_; ++i) {
-        cb[i] = cost[basis_[i]];
-      }
-      const Vector y = lut->solve(cb);
-
-      // Entering column: the leaving basic must move toward its violated
-      // bound, which fixes the sign of the pivot element each nonbasic may
-      // contribute.  Artificials never re-enter.
-      std::size_t entering = total_;
-      double best_ratio = kInf;
-      double best_alpha = 0.0;
-      for (std::size_t j = 0; j < n_ + m_; ++j) {
-        const VarStatus st = status_[j];
-        if (st == VarStatus::kBasic || st == VarStatus::kFixed) {
-          continue;
-        }
-        double alpha = 0.0;
-        double d = cost[j];
-        for (std::size_t i = 0; i < m_; ++i) {
-          const double a = coeff(i, j);
-          if (a != 0.0) {
-            alpha += w[i] * a;
-            d -= y[i] * a;
-          }
-        }
-        if (std::fabs(alpha) <= pivot_tol) {
-          continue;
-        }
-        // x_Br moves by -alpha * dj_step.  To DECREASE x_Br (above its
-        // upper bound) an at-lower column needs alpha > 0 (it can only
-        // increase) and an at-upper column alpha < 0; mirrored when x_Br
-        // must increase.  Free columns may move either way.
-        bool eligible = st == VarStatus::kFree;
-        if (!eligible && st == VarStatus::kAtLower) {
-          eligible = above ? alpha > 0.0 : alpha < 0.0;
-        }
-        if (!eligible && st == VarStatus::kAtUpper) {
-          eligible = above ? alpha < 0.0 : alpha > 0.0;
-        }
-        if (!eligible) {
-          continue;
-        }
-        const double ratio = std::fabs(d) / std::fabs(alpha);
-        // Stability tie-break: among (near-)equal ratios take the largest
-        // pivot element.  Strict >, so exact ties keep the smallest index
-        // and the repair stays deterministic.
-        if (ratio < best_ratio - 1e-12 ||
-            (ratio < best_ratio + 1e-12 && std::fabs(alpha) > best_alpha)) {
-          best_ratio = std::min(best_ratio, ratio);
-          best_alpha = std::fabs(alpha);
-          entering = j;
-        }
-      }
-      if (entering == total_) {
-        return false;  // no eligible pivot: likely primal infeasible
-      }
-
-      const std::size_t out_var = basis_[static_cast<std::size_t>(r)];
-      status_[out_var] = above ? VarStatus::kAtUpper : VarStatus::kAtLower;
-      value_[out_var] = above ? upper_[out_var] : lower_[out_var];
-      basis_[static_cast<std::size_t>(r)] = entering;
-      status_[entering] = VarStatus::kBasic;
-      ++iterations_;
-    }
-  }
-
-  /// Read the final statuses into a reusable Basis.  A basis that still
-  /// contains an artificial (degenerate Phase-I leftover) is not reusable
-  /// and is reported as empty.
-  void capture_basis(Basis& out) const {
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (status_[n_ + m_ + i] == VarStatus::kBasic) {
-        return;
-      }
-    }
-    const auto to_basis = [](VarStatus s) {
-      switch (s) {
-        case VarStatus::kBasic:
-          return BasisStatus::kBasic;
-        case VarStatus::kAtLower:
-          return BasisStatus::kAtLower;
-        case VarStatus::kAtUpper:
-          return BasisStatus::kAtUpper;
-        case VarStatus::kFree:
-          return BasisStatus::kFree;
-        case VarStatus::kFixed:
-          return BasisStatus::kFixed;
-      }
-      return BasisStatus::kUnset;
-    };
-    out.cols.resize(n_);
-    for (std::size_t j = 0; j < n_; ++j) {
-      out.cols[j] = to_basis(status_[j]);
-    }
-    out.row_slacks.resize(m_);
-    for (std::size_t i = 0; i < m_; ++i) {
-      out.row_slacks[i] = to_basis(status_[n_ + i]);
-    }
-  }
-
-  /// Recompute basic variable values from the nonbasic resting values:
-  /// solve B x_B = -N x_N  (the rhs of every row is zero).
-  bool refresh_basics(const LuFactor& lu) {
-    Vector rhs(m_, 0.0);
-    for (std::size_t i = 0; i < m_; ++i) {
-      double v = 0.0;
-      for (std::size_t j = 0; j < total_; ++j) {
-        if (status_[j] != VarStatus::kBasic && value_[j] != 0.0) {
-          v += coeff(i, j) * value_[j];
-        }
-      }
-      rhs[i] = -v;
-    }
-    const Vector xb = lu.solve(rhs);
-    for (std::size_t i = 0; i < m_; ++i) {
-      value_[basis_[i]] = xb[i];
-    }
-    return true;
-  }
-
-  std::optional<LuFactor> factor_basis() {
-    common::WallTimer timer;
-    Matrix b(m_, m_);
-    for (std::size_t i = 0; i < m_; ++i) {
-      for (std::size_t k = 0; k < m_; ++k) {
-        b(i, k) = coeff(i, basis_[k]);
-      }
-    }
-    auto lu = LuFactor::compute(b);
-    factor_seconds_ += timer.seconds();
-    if (lu.has_value()) {
-      ++factorizations_;
-    }
-    return lu;
-  }
-
-  LpStatus optimize(const Vector& cost) {
-    const int bland_threshold =
-        5 * static_cast<int>(total_ + m_) + 200;
-    int phase_iterations = 0;
-
-    for (;;) {
-      if (iterations_ >= opts_.max_iterations) {
-        return LpStatus::kIterationLimit;
-      }
-      const bool bland = phase_iterations > bland_threshold;
-
-      auto lu = factor_basis();
-      if (!lu.has_value()) {
-        // A cold start never produces this (asserted by the caller); a
-        // warm-started trajectory can pivot into a numerically singular
-        // basis, and the caller then retries the whole solve cold.
-        numeric_failure_ = true;
-        return LpStatus::kIterationLimit;
-      }
-      refresh_basics(*lu);
-
-      // Pricing: y = B^{-T} c_B, then reduced costs on nonbasics.  B^T is
-      // factored directly when it can be, but an absolute pivot threshold
-      // can declare B^T singular even though B factored fine: a badly
-      // scaled cut row (tiny coefficients) is a tiny *column* of B^T.  The
-      // two orientations are singular together mathematically, so in that
-      // case the pricing system is solved through the factorization of B
-      // instead of failing the solve.
-      Vector cb(m_);
-      for (std::size_t i = 0; i < m_; ++i) {
-        cb[i] = cost[basis_[i]];
-      }
-      Matrix bt(m_, m_);
-      for (std::size_t i = 0; i < m_; ++i) {
-        for (std::size_t k = 0; k < m_; ++k) {
-          bt(i, k) = coeff(k, basis_[i]);
-        }
-      }
-      common::WallTimer bt_timer;
-      const auto lut = LuFactor::compute(bt);
-      factor_seconds_ += bt_timer.seconds();
-      if (!lut.has_value()) {
-        ++bt_fallbacks_;
-      }
-      const Vector y = lut.has_value() ? lut->solve(cb)
-                                       : lu->solve_transposed(cb);
-
-      std::size_t entering = total_;
-      int direction = 0;  // +1 increase, -1 decrease
-      double best_score = opts_.optimality_tol;
-      for (std::size_t j = 0; j < total_; ++j) {
-        const VarStatus st = status_[j];
-        if (st == VarStatus::kBasic || st == VarStatus::kFixed) {
-          continue;
-        }
-        double d = cost[j];
-        for (std::size_t i = 0; i < m_; ++i) {
-          const double a = coeff(i, j);
-          if (a != 0.0) {
-            d -= y[i] * a;
-          }
-        }
-        int dir = 0;
-        if ((st == VarStatus::kAtLower || st == VarStatus::kFree) &&
-            d < -opts_.optimality_tol) {
-          dir = +1;
-        } else if ((st == VarStatus::kAtUpper || st == VarStatus::kFree) &&
-                   d > opts_.optimality_tol) {
-          dir = -1;
-        }
-        if (dir == 0) {
-          continue;
-        }
-        if (bland) {
-          entering = j;
-          direction = dir;
-          break;  // smallest eligible index
-        }
-        if (std::fabs(d) > best_score) {
-          best_score = std::fabs(d);
-          entering = j;
-          direction = dir;
-        }
-      }
-      if (entering == total_) {
-        return LpStatus::kOptimal;
-      }
-
-      // Direction through the basics: w = B^{-1} A_e.
-      Vector ae(m_);
-      for (std::size_t i = 0; i < m_; ++i) {
-        ae[i] = coeff(i, entering);
-      }
-      const Vector w = lu->solve(ae);
-
-      // Ratio test.  x_B(t) = x_B - t * direction * w;  entering moves by
-      // +/- t from its current bound, capped by its own bound span.
-      double t_max = kInf;
-      if (std::isfinite(lower_[entering]) && std::isfinite(upper_[entering])) {
-        t_max = upper_[entering] - lower_[entering];
-      }
-      std::ptrdiff_t leaving = -1;  // -1 => bound flip
-      bool leaving_to_upper = false;
-      double leaving_pivot_mag = 0.0;
-      const double pivot_tol = 1e-9;
-      for (std::size_t i = 0; i < m_; ++i) {
-        const double rate = direction * w[i];  // basic i decreases at `rate`
-        const std::size_t bj = basis_[i];
-        double limit = kInf;
-        bool to_upper = false;
-        if (rate > pivot_tol) {
-          if (std::isfinite(lower_[bj])) {
-            limit = (value_[bj] - lower_[bj]) / rate;
-          }
-        } else if (rate < -pivot_tol) {
-          if (std::isfinite(upper_[bj])) {
-            limit = (value_[bj] - upper_[bj]) / rate;
-            to_upper = true;
-          }
-        } else {
-          continue;
-        }
-        limit = std::max(limit, 0.0);  // degeneracy snap
-        const bool better =
-            limit < t_max - 1e-12 ||
-            (limit < t_max + 1e-12 && std::fabs(w[i]) > leaving_pivot_mag);
-        if (better && limit <= t_max + 1e-12) {
-          t_max = std::min(t_max, limit);
-          leaving = static_cast<std::ptrdiff_t>(i);
-          leaving_to_upper = to_upper;
-          leaving_pivot_mag = std::fabs(w[i]);
-        }
-      }
-
-      if (!std::isfinite(t_max)) {
-        return LpStatus::kUnbounded;
-      }
-
-      // Apply the step.
-      for (std::size_t i = 0; i < m_; ++i) {
-        value_[basis_[i]] -= t_max * direction * w[i];
-      }
-      value_[entering] += direction * t_max;
-
-      if (leaving < 0) {
-        // Bound flip: entering traverses its whole span, basis unchanged.
-        status_[entering] = direction > 0 ? VarStatus::kAtUpper
-                                          : VarStatus::kAtLower;
-        value_[entering] = direction > 0 ? upper_[entering] : lower_[entering];
-        ++bound_flips_;
-      } else {
-        const std::size_t out_var = basis_[static_cast<std::size_t>(leaving)];
-        status_[out_var] =
-            leaving_to_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
-        value_[out_var] = leaving_to_upper ? upper_[out_var] : lower_[out_var];
-        basis_[static_cast<std::size_t>(leaving)] = entering;
-        status_[entering] = VarStatus::kBasic;
-      }
-
-      ++iterations_;
-      ++phase_iterations;
-    }
-  }
-
- public:
-  /// True when a pivot reached a numerically singular basis.  Possible only
-  /// on warm-started trajectories; the caller retries the solve cold.
-  bool numeric_failure() const { return numeric_failure_; }
-
- private:
-  const LpProblem& problem_;
-  SimplexOptions opts_;
-  std::size_t n_ = 0;      // structural columns
-  std::size_t m_ = 0;      // rows (== slack count == artificial count)
-  std::size_t total_ = 0;  // n + 2m
-  Matrix a_;               // m x n constraint matrix
-  Vector lower_, upper_, value_;
-  Vector art_sign_;
-  std::vector<VarStatus> status_;
-  std::vector<std::size_t> basis_;
-  int iterations_ = 0;
-  long factorizations_ = 0;
-  long bt_fallbacks_ = 0;
-  long bound_flips_ = 0;
-  double factor_seconds_ = 0.0;
-  bool numeric_failure_ = false;
-};
-
-/// The sparse engine's basis representation: a sparse LU of the basis at
-/// the last (re)factorization plus the eta file of the pivots since.
+/// The basis representation: a sparse LU of the basis at the last
+/// (re)factorization plus the eta file of the pivots since.
 class MaintainedFactor {
  public:
   /// Fresh factorization of the basis columns; clears the eta file.
@@ -789,7 +94,7 @@ class MaintainedFactor {
   std::vector<double> work_;
 };
 
-/// Per-thread scratch for the sparse engine.  Branch-and-bound issues
+/// Per-thread scratch for the simplex.  Branch-and-bound issues
 /// thousands of tiny LP solves per second per worker; reusing these
 /// buffers (vectors keep capacity, the eta file keeps its pools, the CSC
 /// builders keep their arrays) removes every steady-state heap allocation
@@ -811,13 +116,12 @@ LpWorkspace& thread_workspace() {
   return ws;
 }
 
-/// Default engine: revised simplex over a maintained sparse factorization.
-/// Pivot rules (pricing, ratio test, Bland fallback, dual repair
-/// eligibility and tie-breaks) are copied verbatim from DenseSimplex so the
-/// two engines walk the same vertex sequence whenever their arithmetic
-/// agrees; the engines differ only in how B^{-1} is applied and in when
-/// basic values are recomputed (dense: every pivot; sparse: incrementally,
-/// refreshed at factorization points and on optimal exit).
+/// Revised simplex over a maintained sparse factorization.  Basic values
+/// move incrementally with each pivot and are recomputed through the
+/// factor at factorization points and on optimal exit.  The pivot rules
+/// (pricing, ratio test, Bland fallback, dual repair eligibility and
+/// tie-breaks) have no second implementation to agree with; the
+/// brute-force vertex oracle in tests/lp_property_test.cpp checks them.
 class SparseSimplex {
  public:
   SparseSimplex(const LpProblem& problem, const SimplexOptions& options,
@@ -1011,9 +315,8 @@ class SparseSimplex {
     }
   }
 
-  /// Fresh sparse LU of the current basis.  The factorization tolerances
-  /// are looser relatively and tighter absolutely than the dense path's:
-  /// every column magnitude passes the relative threshold, so a false
+  /// Fresh sparse LU of the current basis.  The absolute pivot threshold
+  /// is 1e-14 and every column magnitude passes the relative one, so a false
   /// "singular" verdict needs the whole column below 1e-14 -- at which
   /// point the basis is singular for every practical purpose.
   bool factorize_current() {
@@ -1161,8 +464,7 @@ class SparseSimplex {
         ws_.status[a] = VarStatus::kAtLower;
         ws_.value[a] = 0.0;
       }
-      // One factorization serves both FTRAN and BTRAN here (unlike the
-      // dense path, which must prove both orientations factor).
+      // One factorization serves both FTRAN and BTRAN.
       if (factorize_current()) {
         refresh_basics();
         if (basics_feasible()) {
@@ -1181,8 +483,9 @@ class SparseSimplex {
     return WarmMode::kCold;
   }
 
-  /// Dual-simplex repair on the maintained factor; selection rules and
-  /// tolerances identical to DenseSimplex::dual_repair.  Each pivot is
+  /// Dual-simplex repair on the maintained factor: the most violated basic
+  /// leaves, and the eligible column with the least |d_j| / |alpha_j|
+  /// enters (near-ties to the larger |alpha_j|).  Each pivot is
   /// absorbed as an eta update (or a refactorization when refused), and a
   /// singular rebuild bails to the cold start like every other failure.
   bool dual_repair(const Vector& cost) {
@@ -1333,9 +636,8 @@ class SparseSimplex {
 
       // Pricing: y = B^{-T} c_B through the maintained factor, then
       // reduced costs by column structure (CSC for structural, singletons
-      // for slack/artificial).  Entry order within a column matches the
-      // dense engine's ascending-row loop, so the sums round identically
-      // given equal inputs.
+      // for slack/artificial).  Each column sums its entries in the CSC's
+      // ascending row order.
       for (std::size_t i = 0; i < m_; ++i) {
         ws_.cb[i] = cost[ws_.basis[i]];
       }
@@ -1397,7 +699,7 @@ class SparseSimplex {
       ws_.factor.ftran(ws_.rhs, ws_.w);
       Vector& w = ws_.w;
 
-      // Ratio test (identical to the dense engine).
+      // Ratio test; near-ties (within 1e-12) go to the larger |w_i|.
       double t_max = kInf;
       if (std::isfinite(ws_.lower[entering]) &&
           std::isfinite(ws_.upper[entering])) {
@@ -1440,8 +742,8 @@ class SparseSimplex {
         return LpStatus::kUnbounded;
       }
 
-      // Apply the step incrementally (the dense engine instead recomputes
-      // every basic from a fresh factorization each pivot).
+      // Apply the step incrementally; refresh_basics recomputes the basics
+      // through the factor at the next factorization or optimal exit.
       for (std::size_t i = 0; i < m_; ++i) {
         ws_.value[ws_.basis[i]] -= t_max * direction * w[i];
       }
@@ -1502,54 +804,42 @@ struct WorkspaceGuard {
 LpSolution solve_impl(const LpProblem& problem, const SimplexOptions& options,
                       const Basis* warm) {
   if (problem.num_vars() == 0) {
+    // Every row's activity is 0: feasible exactly when each row admits 0.
     LpSolution out;
     out.status = LpStatus::kOptimal;
+    for (std::size_t i = 0; i < problem.num_rows(); ++i) {
+      const Row row = problem.row(i);
+      if (row.lower > options.feasibility_tol ||
+          row.upper < -options.feasibility_tol) {
+        out.status = LpStatus::kInfeasible;
+        return out;
+      }
+    }
     out.objective = problem.objective_offset();
     return out;
   }
-  // Reject inconsistent fixed bounds early (the simplex would report them as
-  // Phase-I infeasible anyway, but this gives a crisper answer).
-  for (std::size_t j = 0; j < problem.num_vars(); ++j) {
-    if (problem.col_lower()[j] > problem.col_upper()[j]) {
-      LpSolution out;
-      out.status = LpStatus::kInfeasible;
-      return out;
-    }
-  }
   common::WallTimer total_timer;
-  LpSolution out;
-  if (options.engine == LpEngine::kDense) {
-    DenseSimplex simplex(problem, options);
-    out = simplex.run(warm);
-    if (simplex.numeric_failure()) {
-      // Only a warm-started trajectory can pivot into a singular basis; for
-      // a cold solve this is a genuine invariant violation.
-      HSLB_ASSERT(warm != nullptr && !warm->empty(), "singular simplex basis");
-      DenseSimplex retry(problem, options);
-      out = retry.run(nullptr);
-      HSLB_ASSERT(!retry.numeric_failure(), "singular simplex basis");
-    }
-  } else {
-    // The sparse engine solves out of a per-thread workspace; a reentrant
-    // solve on the same thread (none exist today, but the flag is cheap
-    // insurance) gets a private heap-allocated one.
-    LpWorkspace& shared = thread_workspace();
-    std::unique_ptr<LpWorkspace> local;
-    LpWorkspace* ws = &shared;
-    if (shared.in_use) {
-      local = std::make_unique<LpWorkspace>();
-      ws = local.get();
-    }
-    ws->in_use = true;
-    WorkspaceGuard guard{ws};
-    SparseSimplex simplex(problem, options, *ws);
-    out = simplex.run(warm);
-    if (simplex.numeric_failure()) {
-      HSLB_ASSERT(warm != nullptr && !warm->empty(), "singular simplex basis");
-      SparseSimplex retry(problem, options, *ws);
-      out = retry.run(nullptr);
-      HSLB_ASSERT(!retry.numeric_failure(), "singular simplex basis");
-    }
+  // The simplex solves out of a per-thread workspace; a reentrant solve on
+  // the same thread (none exist today, but the flag is cheap insurance)
+  // gets a private heap-allocated one.
+  LpWorkspace& shared = thread_workspace();
+  std::unique_ptr<LpWorkspace> local;
+  LpWorkspace* ws = &shared;
+  if (shared.in_use) {
+    local = std::make_unique<LpWorkspace>();
+    ws = local.get();
+  }
+  ws->in_use = true;
+  WorkspaceGuard guard{ws};
+  SparseSimplex simplex(problem, options, *ws);
+  LpSolution out = simplex.run(warm);
+  if (simplex.numeric_failure()) {
+    // Only a warm-started trajectory can pivot into a singular basis; for
+    // a cold solve this is a genuine invariant violation.
+    HSLB_ASSERT(warm != nullptr && !warm->empty(), "singular simplex basis");
+    SparseSimplex retry(problem, options, *ws);
+    out = retry.run(nullptr);
+    HSLB_ASSERT(!retry.numeric_failure(), "singular simplex basis");
   }
   // Wall clock not spent factoring or updating is pivot work (pricing,
   // ratio tests, dual repair).  Timing never feeds fingerprints.
@@ -1584,10 +874,6 @@ LpSolution solve_impl(const LpProblem& problem, const SimplexOptions& options,
     if (out.bound_flips > 0) {
       metrics->counter("lp.simplex.bound_flips")
           .add(static_cast<double>(out.bound_flips));
-    }
-    if (out.bt_fallbacks > 0) {
-      metrics->counter("lp.simplex.bt_fallbacks")
-          .add(static_cast<double>(out.bt_fallbacks));
     }
   }
   return out;

@@ -331,7 +331,6 @@ struct SolveMetrics {
   obs::Counter* lp_refactorizations = nullptr;
   obs::Counter* lp_eta_updates = nullptr;
   obs::Counter* lp_bound_flips = nullptr;
-  obs::Counter* lp_bt_fallbacks = nullptr;
   obs::Counter* lp_factor_seconds = nullptr;
   obs::Counter* lp_update_seconds = nullptr;
   obs::Counter* lp_pivot_seconds = nullptr;
@@ -361,7 +360,6 @@ struct SolveMetrics {
     lp_refactorizations = &registry->counter("minlp.lp.refactorizations");
     lp_eta_updates = &registry->counter("minlp.lp.eta_updates");
     lp_bound_flips = &registry->counter("minlp.lp.bound_flips");
-    lp_bt_fallbacks = &registry->counter("minlp.lp.bt_fallbacks");
     // Registered but never incremented: perfbench's traced run fails when
     // a counter behind one of its layers is missing.
     (void)registry->counter("minlp.lp.factor_inherits");
@@ -406,7 +404,6 @@ struct NodeResult {
   long lp_refactorizations = 0;
   long lp_eta_updates = 0;
   long lp_bound_flips = 0;
-  long lp_bt_fallbacks = 0;
   double lp_seconds = 0.0;
   double lp_factor_seconds = 0.0;
   double lp_update_seconds = 0.0;
@@ -436,7 +433,6 @@ NodeResult process_node(const Model& model, const SolverOptions& opts,
   lp::Basis warm = std::move(node.warm);
   std::vector<std::uint64_t> warm_keys = std::move(node.warm_keys);
   lp::SimplexOptions lp_opts;
-  lp_opts.engine = opts.lp_engine;
   lp_opts.capture_basis = opts.warm_start_lp;
   std::vector<std::uint64_t> keys;
 
@@ -489,7 +485,6 @@ NodeResult process_node(const Model& model, const SolverOptions& opts,
     r.lp_refactorizations += sol.refactorizations;
     r.lp_eta_updates += sol.eta_updates;
     r.lp_bound_flips += sol.bound_flips;
-    r.lp_bt_fallbacks += sol.bt_fallbacks;
     r.lp_factor_seconds += sol.factor_seconds;
     r.lp_update_seconds += sol.update_seconds;
     r.lp_pivot_seconds += sol.pivot_seconds;
@@ -892,7 +887,6 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
       long long epoch_warm = 0;
       long long epoch_etas = 0;
       long long epoch_refactor = 0;
-      long long epoch_bt_fallbacks = 0;
       for (const NodeResult& r : results) {
         epoch_lp_ms += r.lp_seconds * 1e3;
         epoch_factor_ms += r.lp_factor_seconds * 1e3;
@@ -902,7 +896,6 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
         epoch_warm += r.warm_lp_solves;
         epoch_etas += r.lp_eta_updates;
         epoch_refactor += r.lp_refactorizations;
-        epoch_bt_fallbacks += r.lp_bt_fallbacks;
       }
       epoch_span.arg("batch", static_cast<long long>(batch_size));
       epoch_span.arg("lp_ms", epoch_lp_ms);
@@ -913,7 +906,6 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
       epoch_span.arg("pivot_ms", epoch_pivot_ms);
       epoch_span.arg("eta_updates", epoch_etas);
       epoch_span.arg("refactorizations", epoch_refactor);
-      epoch_span.arg("bt_fallbacks", epoch_bt_fallbacks);
     }
 
     // Merge in batch order -- the deterministic serialization point.
@@ -946,7 +938,6 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
             static_cast<double>(r.lp_refactorizations));
         metrics.lp_eta_updates->add(static_cast<double>(r.lp_eta_updates));
         metrics.lp_bound_flips->add(static_cast<double>(r.lp_bound_flips));
-        metrics.lp_bt_fallbacks->add(static_cast<double>(r.lp_bt_fallbacks));
         metrics.lp_factor_seconds->add(r.lp_factor_seconds);
         metrics.lp_update_seconds->add(r.lp_update_seconds);
         metrics.lp_pivot_seconds->add(r.lp_pivot_seconds);
@@ -961,7 +952,6 @@ MinlpResult solve(const Model& model, const SolverOptions& opts) {
       stats.lp_refactorizations += r.lp_refactorizations;
       stats.lp_eta_updates += r.lp_eta_updates;
       stats.lp_bound_flips += r.lp_bound_flips;
-      stats.lp_bt_fallbacks += r.lp_bt_fallbacks;
       stats.lp_seconds += r.lp_seconds;
       stats.lp_factor_seconds += r.lp_factor_seconds;
       stats.lp_update_seconds += r.lp_update_seconds;

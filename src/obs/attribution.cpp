@@ -162,7 +162,6 @@ Attribution attribute_phases(const std::vector<TraceEvent>& events,
     out.lp.eta_updates += static_cast<long>(arg_number(e, "eta_updates"));
     out.lp.refactorizations +=
         static_cast<long>(arg_number(e, "refactorizations"));
-    out.lp.bt_fallbacks += static_cast<long>(arg_number(e, "bt_fallbacks"));
   }
 
   double wall_start = std::numeric_limits<double>::infinity();
@@ -388,7 +387,6 @@ report::Json attribution_json(const Attribution& attribution) {
   lp.set("eta_updates", report::Json::integer(attribution.lp.eta_updates));
   lp.set("refactorizations",
          report::Json::integer(attribution.lp.refactorizations));
-  lp.set("bt_fallbacks", report::Json::integer(attribution.lp.bt_fallbacks));
   out.set("lp_engine", std::move(lp));
 
   report::Json percentiles = report::Json::array();

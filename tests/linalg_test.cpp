@@ -103,56 +103,6 @@ TEST(Lu, SolvesRandomSystems) {
   }
 }
 
-TEST(Lu, SolveTransposedMatchesExplicitTranspose) {
-  common::Rng rng(31);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(1, 12));
-    Matrix a = random_matrix(n, n, rng);
-    for (std::size_t i = 0; i < n; ++i) {
-      a(i, i) += 3.0;
-    }
-    Vector y_true(n);
-    for (auto& v : y_true) {
-      v = rng.uniform(-2.0, 2.0);
-    }
-    // b = A^T y_true.
-    Vector b(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        b[j] += a(i, j) * y_true[i];
-      }
-    }
-    const auto lu = LuFactor::compute(a);
-    ASSERT_TRUE(lu.has_value());
-    const Vector y = lu->solve_transposed(b);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(y[i], y_true[i], 1e-9) << "trial " << trial;
-    }
-  }
-}
-
-TEST(Lu, SolveTransposedOnBadlyRowScaledMatrix) {
-  // A row scaled down to ~1e-15 is a ~1e-15 *column* of A^T: factoring A^T
-  // directly would be declared singular by the absolute pivot threshold,
-  // but the factorization of A solves both orientations.
-  Matrix a = Matrix::from_rows({{1.0, 2.0, 0.5},
-                                {3e-15, 1e-15, 2e-15},
-                                {0.25, -1.0, 4.0}});
-  const auto lu = LuFactor::compute(a);
-  ASSERT_TRUE(lu.has_value());
-  const Vector y_true{1.0, 2e14, -1.0};
-  Vector b(3, 0.0);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      b[j] += a(i, j) * y_true[i];
-    }
-  }
-  const Vector y = lu->solve_transposed(b);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(y[i], y_true[i], 1e-6 * std::fabs(y_true[i]) + 1e-9) << i;
-  }
-}
-
 TEST(Lu, DetectsSingular) {
   const Matrix a = Matrix::from_rows({{1, 2}, {2, 4}});
   EXPECT_FALSE(LuFactor::compute(a).has_value());

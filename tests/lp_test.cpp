@@ -58,12 +58,20 @@ TEST(Simplex, DetectsInfeasible) {
 }
 
 TEST(Simplex, DetectsInconsistentColumnBounds) {
+  // Crossed column bounds never reach the solver: both entry points reject
+  // them and leave the problem as it was.
   LpProblem p;
   p.add_variable(0.0, 5.0, 1.0);
+  EXPECT_THROW(p.add_variable(2.0, 1.0, 1.0), InvalidArgument);
+  EXPECT_EQ(p.num_vars(), 1u);
   auto s = solve(p);
   EXPECT_EQ(s.status, LpStatus::kOptimal);
   p.set_col_bounds(0, 3.0, 5.0);
-  EXPECT_EQ(solve(p).x.size(), 1u);
+  EXPECT_THROW(p.set_col_bounds(0, 4.0, 3.0), InvalidArgument);
+  s = solve(p);
+  ASSERT_EQ(s.status, LpStatus::kOptimal);
+  EXPECT_EQ(s.x.size(), 1u);
+  EXPECT_DOUBLE_EQ(s.x[0], 3.0);
 }
 
 TEST(Simplex, DetectsUnbounded) {
@@ -123,6 +131,15 @@ TEST(Simplex, EmptyProblemIsTriviallyOptimal) {
   const auto s = solve(p);
   EXPECT_EQ(s.status, LpStatus::kOptimal);
   EXPECT_DOUBLE_EQ(s.objective, 5.0);
+
+  // With no columns every row reads 0: a row that admits 0 keeps the
+  // problem optimal, one that excludes it makes the problem infeasible.
+  p.add_row({}, -1.0, 2.0);
+  const auto feasible = solve(p);
+  EXPECT_EQ(feasible.status, LpStatus::kOptimal);
+  EXPECT_DOUBLE_EQ(feasible.objective, 5.0);
+  p.add_row({}, 1.0, 2.0);
+  EXPECT_EQ(solve(p).status, LpStatus::kInfeasible);
 }
 
 TEST(Simplex, FixedVariables) {

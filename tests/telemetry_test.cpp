@@ -294,6 +294,24 @@ TEST(Attribution, ChromeTraceRoundTripPreservesSpans) {
     EXPECT_NEAR(from_live.requests[i].total_ms,
                 from_file.requests[i].total_ms, 1e-3);
   }
+
+  // The LP rollup hslb_trace prints survives the file round trip, and it
+  // counts every solver epoch span.
+  const LpEngineRollup& lp_live = from_live.lp;
+  const LpEngineRollup& lp_file = from_file.lp;
+  long epoch_spans = 0;
+  for (const TraceEvent& e : live) {
+    epoch_spans += e.name == "minlp.epoch" ? 1 : 0;
+  }
+  EXPECT_GT(lp_live.epochs, 0);
+  EXPECT_EQ(lp_live.epochs, epoch_spans);
+  EXPECT_EQ(lp_file.epochs, lp_live.epochs);
+  EXPECT_EQ(lp_file.eta_updates, lp_live.eta_updates);
+  EXPECT_EQ(lp_file.refactorizations, lp_live.refactorizations);
+  EXPECT_NEAR(lp_file.lp_ms, lp_live.lp_ms, 1e-3);
+  EXPECT_NEAR(lp_file.factor_ms, lp_live.factor_ms, 1e-3);
+  EXPECT_NEAR(lp_file.update_ms, lp_live.update_ms, 1e-3);
+  EXPECT_NEAR(lp_file.pivot_ms, lp_live.pivot_ms, 1e-3);
 }
 
 TEST(Attribution, SharesSumToOneAndNameADominantPhase) {
@@ -338,6 +356,14 @@ TEST(Attribution, JsonFormIsWellFormed) {
   EXPECT_EQ(reparsed->at("requests").as_number(), 3.0);
   EXPECT_FALSE(reparsed->at("dominant_p99_phase").as_string().empty());
   EXPECT_EQ(reparsed->at("percentiles").size(), 3u);
+  std::vector<std::string> lp_keys;
+  for (const auto& [key, value] : reparsed->at("lp_engine").items()) {
+    lp_keys.push_back(key);
+  }
+  EXPECT_EQ(lp_keys,
+            (std::vector<std::string>{"epochs", "lp_ms", "factor_ms",
+                                      "update_ms", "pivot_ms", "eta_updates",
+                                      "refactorizations"}));
 }
 
 }  // namespace

@@ -122,12 +122,7 @@ int main(int argc, char** argv) {
                 << " epoch(s) -- factor " << lp.factor_ms << " ms, update "
                 << lp.update_ms << " ms, pivot " << lp.pivot_ms << " ms; "
                 << lp.eta_updates << " eta update(s), "
-                << lp.refactorizations << " refactorization(s), "
-                << lp.bt_fallbacks << " B^T fallback(s)"
-                << (lp.bt_fallbacks > 0
-                        ? "  [dense B^T solves left the factored path]"
-                        : "")
-                << '\n';
+                << lp.refactorizations << " refactorization(s)\n";
     }
   }
 
