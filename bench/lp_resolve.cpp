@@ -1,6 +1,6 @@
 // LP re-solve microbenchmark: parent-basis warm starts vs cold solves.
 //
-//   $ ./bench_lp_resolve [--out=BENCH_lp.json] [--seed=<n>] [--cases=<n>]
+//   $ ./bench_lp_resolve [--json-out=BENCH_lp.json] [--seed=<n>] [--cases=<n>]
 //                        [--steps=<n>] [--repeats=<n>] [--smoke]
 //
 // Corpus-derived LP re-solve sequences, the exact shape branch-and-bound
@@ -148,7 +148,6 @@ int main(int argc, char** argv) {
   using namespace hslb;
   bench::ArtifactOptions artifact_options =
       bench::parse_artifact_args(argc, argv);
-  std::string out_path = "BENCH_lp.json";
   std::uint64_t seed = 2014;
   int num_cases = 0;
   int num_steps = 0;
@@ -156,9 +155,7 @@ int main(int argc, char** argv) {
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(std::strlen("--out="));
-    } else if (arg.rfind("--seed=", 0) == 0) {
+    if (arg.rfind("--seed=", 0) == 0) {
       seed = std::stoull(arg.substr(std::strlen("--seed=")));
     } else if (arg.rfind("--cases=", 0) == 0) {
       num_cases = std::stoi(arg.substr(std::strlen("--cases=")));
@@ -169,8 +166,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--smoke") {
       smoke = true;
     } else {
-      std::cerr << "usage: bench_lp_resolve [--out=<file.json>] [--seed=<n>]"
-                   " [--cases=<n>] [--steps=<n>] [--repeats=<n>] [--smoke]\n";
+      std::cerr << "usage: bench_lp_resolve [--json-out=<file.json>]"
+                   " [--seed=<n>] [--cases=<n>] [--steps=<n>] [--repeats=<n>]"
+                   " [--smoke]\n";
       return 2;
     }
   }
@@ -393,12 +391,6 @@ int main(int argc, char** argv) {
   artifact.add_scalar("summary", "geomean_speedup_warm_vs_cold", geomean, "",
                       report::Stability::kTiming);
   artifact.add_scalar("summary", "smoke", smoke ? 1.0 : 0.0, "count");
-  artifact.canonicalize();
-  if (!report::write_file(artifact, out_path)) {
-    std::cerr << "cannot write " << out_path << '\n';
-    return 1;
-  }
-  std::cout << "JSON written to " << out_path << '\n';
   return bench::finish(std::move(artifact), artifact_options,
                        identity_ok && gate_ok);
 }

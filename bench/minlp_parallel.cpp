@@ -1,6 +1,6 @@
 // Parallel branch-and-bound scaling on the Table I layout MINLPs.
 //
-//   $ ./bench_minlp_parallel [--out=BENCH_minlp.json] [--repeats=<n>]
+//   $ ./bench_minlp_parallel [--json-out=BENCH_minlp.json] [--repeats=<n>]
 //                            [--smoke]
 //
 // For each Table I layout case the harness solves the same model
@@ -203,15 +203,12 @@ int main(int argc, char** argv) {
   using namespace hslb;
   bench::ArtifactOptions artifact_options =
       bench::parse_artifact_args(argc, argv);
-  std::string out_path = "BENCH_minlp.json";
   std::string corpus_dir;
   int repeats = 3;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(std::strlen("--out="));
-    } else if (arg.rfind("--repeats=", 0) == 0) {
+    if (arg.rfind("--repeats=", 0) == 0) {
       repeats = std::stoi(arg.substr(std::strlen("--repeats=")));
     } else if (arg == "--smoke") {
       smoke = true;
@@ -222,7 +219,7 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--warm=", 0) == 0) {
       g_warm_start = std::stoi(arg.substr(std::strlen("--warm=")));
     } else {
-      std::cerr << "usage: bench_minlp_parallel [--out=<file.json>]"
+      std::cerr << "usage: bench_minlp_parallel [--json-out=<file.json>]"
                    " [--repeats=<n>] [--smoke] [--corpus=<dir>]\n";
       return 2;
     }
@@ -420,11 +417,5 @@ int main(int argc, char** argv) {
                       report::Stability::kTiming);
   artifact.add_scalar("summary", "byte_identical",
                       all_identical ? 1.0 : 0.0, "count");
-  artifact.canonicalize();
-  if (!report::write_file(artifact, out_path)) {
-    std::cerr << "cannot write " << out_path << '\n';
-    return 1;
-  }
-  std::cout << "JSON written to " << out_path << '\n';
   return bench::finish(std::move(artifact), artifact_options, all_identical);
 }

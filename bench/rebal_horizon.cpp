@@ -1,7 +1,7 @@
 // Online rebalancing horizon bench: the drift-tracking control loop vs the
 // paper's static offline allocation, and warm vs cold in-loop re-solves.
 //
-//   $ ./bench_rebal_horizon [--out=BENCH_rebal.json] [--seed=<n>]
+//   $ ./bench_rebal_horizon [--json-out=BENCH_rebal.json] [--seed=<n>]
 //                           [--horizon=<n>] [--smoke]
 //
 // One scenario with scripted drift (slow exponential trends, two step regime
@@ -94,22 +94,19 @@ int main(int argc, char** argv) {
   using namespace hslb;
   bench::ArtifactOptions artifact_options =
       bench::parse_artifact_args(argc, argv);
-  std::string out_path = "BENCH_rebal.json";
   std::uint64_t seed = 2026;
   long horizon = 0;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(std::strlen("--out="));
-    } else if (arg.rfind("--seed=", 0) == 0) {
+    if (arg.rfind("--seed=", 0) == 0) {
       seed = std::stoull(arg.substr(std::strlen("--seed=")));
     } else if (arg.rfind("--horizon=", 0) == 0) {
       horizon = std::stol(arg.substr(std::strlen("--horizon=")));
     } else if (arg == "--smoke") {
       smoke = true;
     } else {
-      std::cerr << "usage: bench_rebal_horizon [--out=<file.json>]"
+      std::cerr << "usage: bench_rebal_horizon [--json-out=<file.json>]"
                    " [--seed=<n>] [--horizon=<n>] [--smoke]\n";
       return 2;
     }
@@ -289,12 +286,6 @@ int main(int argc, char** argv) {
   artifact.add_scalar("summary", "warm_vs_cold_resolve_speedup", warm_speedup,
                       "", report::Stability::kTiming);
   artifact.add_scalar("summary", "smoke", smoke ? 1.0 : 0.0, "count");
-  artifact.canonicalize();
-  if (!report::write_file(artifact, out_path)) {
-    std::cerr << "cannot write " << out_path << '\n';
-    return 1;
-  }
-  std::cout << "JSON written to " << out_path << '\n';
   return bench::finish(std::move(artifact), artifact_options,
                        identity_ok && gate_ok);
 }

@@ -1,6 +1,6 @@
 // Corpus-driven solver sweep over generated scenarios (DESIGN.md section 14).
 //
-//   $ ./bench_scen_corpus [--corpus=<dir>] [--out=BENCH_scen.json]
+//   $ ./bench_scen_corpus [--corpus=<dir>] [--json-out=BENCH_scen.json]
 //                         [--seed=<n>] [--per-family=<n>] [--limit=<n>]
 //                         [--repeats=<n>] [--smoke]
 //
@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
   using namespace hslb;
   bench::ArtifactOptions artifact_options =
       bench::parse_artifact_args(argc, argv);
-  std::string out_path = "BENCH_scen.json";
   std::string corpus_dir;
   std::uint64_t seed = 2014;
   int per_family = 0;  // 0: smoke-dependent default below
@@ -120,9 +119,7 @@ int main(int argc, char** argv) {
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(std::strlen("--out="));
-    } else if (arg.rfind("--corpus=", 0) == 0) {
+    if (arg.rfind("--corpus=", 0) == 0) {
       corpus_dir = arg.substr(std::strlen("--corpus="));
     } else if (arg.rfind("--seed=", 0) == 0) {
       seed = std::stoull(arg.substr(std::strlen("--seed=")));
@@ -136,7 +133,7 @@ int main(int argc, char** argv) {
       smoke = true;
     } else {
       std::cerr << "usage: bench_scen_corpus [--corpus=<dir>]"
-                   " [--out=<file.json>] [--seed=<n>] [--per-family=<n>]"
+                   " [--json-out=<file.json>] [--seed=<n>] [--per-family=<n>]"
                    " [--limit=<n>] [--repeats=<n>] [--smoke]\n";
       return 2;
     }
@@ -421,12 +418,6 @@ int main(int argc, char** argv) {
   artifact.add_scalar("summary", "best_speedup_4_vs_1", best_speedup, "",
                       report::Stability::kTiming);
   artifact.add_scalar("summary", "smoke", smoke ? 1.0 : 0.0, "count");
-  artifact.canonicalize();
-  if (!report::write_file(artifact, out_path)) {
-    std::cerr << "cannot write " << out_path << '\n';
-    return 1;
-  }
-  std::cout << "JSON written to " << out_path << '\n';
   return bench::finish(std::move(artifact), artifact_options,
                        accuracy_ok && all_identical);
 }

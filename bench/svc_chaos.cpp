@@ -2,7 +2,7 @@
 // ladder under deterministic fault injection, plus adaptive admission vs
 // the queue-depth-only baseline under overload.
 //
-//   $ ./bench_svc_chaos [--out=BENCH_svc_chaos.json]
+//   $ ./bench_svc_chaos [--json-out=BENCH_svc_chaos.json]
 //                       [--requests-per-rate=<n>] [--overload-requests=<n>]
 //
 // Three experiments:
@@ -326,21 +326,18 @@ int main(int argc, char** argv) {
   using namespace hslb;
   bench::ArtifactOptions artifact_options =
       bench::parse_artifact_args(argc, argv);
-  std::string out_path = "BENCH_svc_chaos.json";
   long long requests_per_rate = 60;
   long long overload_requests = 48;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(std::strlen("--out="));
-    } else if (arg.rfind("--requests-per-rate=", 0) == 0) {
+    if (arg.rfind("--requests-per-rate=", 0) == 0) {
       requests_per_rate =
           std::stoll(arg.substr(std::strlen("--requests-per-rate=")));
     } else if (arg.rfind("--overload-requests=", 0) == 0) {
       overload_requests =
           std::stoll(arg.substr(std::strlen("--overload-requests=")));
     } else {
-      std::cerr << "usage: bench_svc_chaos [--out=<file.json>]"
+      std::cerr << "usage: bench_svc_chaos [--json-out=<file.json>]"
                    " [--requests-per-rate=<n>] [--overload-requests=<n>]\n";
       return 2;
     }
@@ -518,12 +515,6 @@ int main(int argc, char** argv) {
   results.add_scalar("summary", "overload_budget_ms", budget_ms, "ms",
                      report::Stability::kTiming);
 
-  results.canonicalize();
-  if (!report::write_file(results, out_path)) {
-    std::cerr << "cannot write " << out_path << '\n';
-    return 1;
-  }
-  std::cout << "JSON written to " << out_path << '\n';
 
   const bool gates_ok =
       chaos_off_identical && availability_at_10 >= 0.99 && breaker_cycled;

@@ -1,7 +1,7 @@
 // Load generator for the allocation service: request throughput and cache
 // behaviour at 1 / 4 / 16 worker threads.
 //
-//   $ ./bench_svc_throughput [--out=BENCH_svc.json] [--requests=<n>]
+//   $ ./bench_svc_throughput [--json-out=BENCH_svc.json] [--requests=<n>]
 //                            [--warm-requests=<n>] [--trace-out=<file>]
 //                            [--metrics-out=<file>]
 //
@@ -199,16 +199,13 @@ int main(int argc, char** argv) {
   using namespace hslb;
   bench::ArtifactOptions artifact_options =
       bench::parse_artifact_args(argc, argv);
-  std::string out_path = "BENCH_svc.json";
   std::string trace_out;
   std::string metrics_out;
   long long cold_requests = 48;
   long long warm_requests = 400;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(std::strlen("--out="));
-    } else if (arg.rfind("--requests=", 0) == 0) {
+    if (arg.rfind("--requests=", 0) == 0) {
       cold_requests = std::stoll(arg.substr(std::strlen("--requests=")));
     } else if (arg.rfind("--warm-requests=", 0) == 0) {
       warm_requests = std::stoll(arg.substr(std::strlen("--warm-requests=")));
@@ -217,7 +214,7 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       metrics_out = arg.substr(std::strlen("--metrics-out="));
     } else {
-      std::cerr << "usage: bench_svc_throughput [--out=<file.json>]"
+      std::cerr << "usage: bench_svc_throughput [--json-out=<file.json>]"
                    " [--requests=<n>] [--warm-requests=<n>]"
                    " [--trace-out=<file>] [--metrics-out=<file>]\n";
       return 2;
@@ -394,12 +391,6 @@ int main(int argc, char** argv) {
   // byte-identical to fresh solves.  It is the exit-code gate too.
   results.add_scalar("summary", "warm_byte_identical",
                      byte_identical ? 1.0 : 0.0, "count");
-  results.canonicalize();
-  if (!report::write_file(results, out_path)) {
-    std::cerr << "cannot write " << out_path << '\n';
-    return 1;
-  }
-  std::cout << "JSON written to " << out_path << '\n';
 
   // 16-worker run artifacts for the hslb_trace analyzer / CI upload.
   if (!trace_out.empty()) {

@@ -44,11 +44,11 @@ fi
 
 echo "== parallel-solver bench smoke run (identity check, tiny node budget)"
 "${build_dir}/bench/bench_minlp_parallel" --smoke --repeats=1 \
-  --out="${build_dir}/BENCH_minlp.json"
+  --json-out="${build_dir}/BENCH_minlp.json"
 
 echo "== LP re-solve bench smoke under ASan (parent-basis warm starts vs cold)"
 "${build_dir}/bench/bench_lp_resolve" --smoke --repeats=1 \
-  --out="${build_dir}/BENCH_lp.json"
+  --json-out="${build_dir}/BENCH_lp.json"
 
 echo "== LP pivot-count drift gate (two runs diffed via hslb_report)"
 # The sparse simplex's pivot/eta/factorization counters are deterministic:
@@ -58,24 +58,22 @@ lp_drift_b="${build_dir}/check-lp-b"
 rm -rf "${lp_drift_a}" "${lp_drift_b}"
 mkdir -p "${lp_drift_a}" "${lp_drift_b}"
 "${build_dir}/bench/bench_lp_resolve" --smoke --repeats=1 \
-  --out="${build_dir}/BENCH_lp.json" \
   --json-out="${lp_drift_a}/lp_resolve.json" 2>/dev/null
 "${build_dir}/bench/bench_lp_resolve" --smoke --repeats=1 \
-  --out="${build_dir}/BENCH_lp.json" \
   --json-out="${lp_drift_b}/lp_resolve.json" 2>/dev/null
 "${build_dir}/tools/hslb_report" diff --bench=lp_resolve \
   --golden="${lp_drift_a}" --fresh="${lp_drift_b}"
 
 echo "== rebal horizon bench smoke under ASan (control loop + replay identity)"
 "${build_dir}/bench/bench_rebal_horizon" --smoke \
-  --out="${build_dir}/BENCH_rebal.json"
+  --json-out="${build_dir}/BENCH_rebal.json"
 
 echo "== scenario corpus smoke (fixed-seed generate + corpus bench)"
 corpus_dir="${build_dir}/check-corpus"
 rm -rf "${corpus_dir}"
 "${build_dir}/tools/hslb_scengen" --out="${corpus_dir}" --seed=2014 --count=3
 "${build_dir}/bench/bench_scen_corpus" --smoke --corpus="${corpus_dir}" \
-  --out="${build_dir}/BENCH_scen.json"
+  --json-out="${build_dir}/BENCH_scen.json"
 
 echo "== configure (Debug + TSan) -> ${tsan_dir}"
 cmake -B "${tsan_dir}" -S "${repo_root}" \
@@ -100,14 +98,14 @@ echo "== chaos smoke under TSan (deterministic faults, ladder on)"
 
 echo "== corpus smoke under TSan (thread-scaling sweep, tiny slice)"
 "${tsan_dir}/bench/bench_scen_corpus" --smoke --per-family=2 --limit=1 \
-  --out="${tsan_dir}/BENCH_scen.json"
+  --json-out="${tsan_dir}/BENCH_scen.json"
 
 echo "== LP re-solve bench smoke under TSan (thread-local workspace reuse)"
 "${tsan_dir}/bench/bench_lp_resolve" --smoke --repeats=1 \
-  --out="${tsan_dir}/BENCH_lp.json"
+  --json-out="${tsan_dir}/BENCH_lp.json"
 
 echo "== rebal horizon bench smoke under TSan (threaded warm re-solves)"
 "${tsan_dir}/bench/bench_rebal_horizon" --smoke \
-  --out="${tsan_dir}/BENCH_rebal.json"
+  --json-out="${tsan_dir}/BENCH_rebal.json"
 
 echo "== OK: build, tests, observability smoke run, and TSan pass all passed"

@@ -1,5 +1,5 @@
 // Householder-QR linear least squares, used by the Levenberg-Marquardt
-// inner step and by linear calibration utilities.
+// inner step, the NNLS passive-set solves and linear calibration utilities.
 #pragma once
 
 #include "hslb/linalg/matrix.hpp"
@@ -18,5 +18,15 @@ struct LeastSquaresResult {
 /// and `full_rank` is cleared.
 LeastSquaresResult solve_least_squares(const Matrix& a,
                                        std::span<const double> b);
+
+/// The Householder QR solve behind solve_least_squares, in place and
+/// allocation-free.  `a` holds an m x n row-major matrix (m >= n) and is
+/// overwritten by R in its upper triangle; `qtb` holds b (m entries) and is
+/// overwritten by Q^T b; `v` is scratch of at least m entries; `x` receives
+/// the n-entry minimizer.  Returns false on rank deficiency, as
+/// `LeastSquaresResult::full_rank` does.
+bool householder_solve(std::size_t m, std::size_t n, std::span<double> a,
+                       std::span<double> qtb, std::span<double> v,
+                       std::span<double> x);
 
 }  // namespace hslb::linalg

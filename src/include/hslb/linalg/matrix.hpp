@@ -46,6 +46,10 @@ class Matrix {
     return {data_.data() + r * cols_, cols_};
   }
 
+  /// All rows x cols entries, row-major.
+  std::span<double> data() { return data_; }
+  std::span<const double> data() const { return data_; }
+
   /// Transposed copy.
   Matrix transposed() const;
 
@@ -89,8 +93,14 @@ Vector scale(double alpha, std::span<const double> v);
 /// Matrix-vector product A*x.
 Vector matvec(const Matrix& a, std::span<const double> x);
 
+/// y = A*x into a caller-owned y of a.rows() entries (same arithmetic).
+void matvec(const Matrix& a, std::span<const double> x, std::span<double> y);
+
 /// Transposed matrix-vector product A^T*x.
 Vector matvec_t(const Matrix& a, std::span<const double> x);
+
+/// y = A^T*x into a caller-owned y of a.cols() entries (same arithmetic).
+void matvec_t(const Matrix& a, std::span<const double> x, std::span<double> y);
 
 /// Matrix-matrix product A*B.
 Matrix matmul(const Matrix& a, const Matrix& b);

@@ -4,10 +4,12 @@
 //
 // Two strategies are provided and combined:
 //   * Variable projection (VarPro): for a fixed exponent c the model is
-//     linear in (a, b, d), so an NNLS solve gives the exact constrained
-//     optimum; a golden-section-refined grid search over c picks the best
-//     exponent.  Robust, derivative-free in c, and immune to the local
-//     minima the paper mentions.
+//     linear in (a, b, d), so an NNLS solve gives the constrained optimum;
+//     a golden-section-refined grid search over c picks the best exponent.
+//     Derivative-free in c and immune to the local minima the paper
+//     mentions.  The NNLS tolerance is absolute, so at large c (a huge
+//     n^c column) it can stop at a fixed point far from the optimum; see
+//     nlp/nnls.hpp.
 //   * Levenberg-Marquardt polish over all four parameters from the VarPro
 //     point (and optionally from multiple random starts).
 #pragma once

@@ -6,19 +6,18 @@
 
 namespace hslb::linalg {
 
-LeastSquaresResult solve_least_squares(const Matrix& a,
-                                       std::span<const double> b) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
+bool householder_solve(std::size_t m, std::size_t n, std::span<double> a,
+                       std::span<double> qtb, std::span<double> v,
+                       std::span<double> x) {
   HSLB_REQUIRE(m >= n, "least squares needs rows >= cols");
-  HSLB_REQUIRE(b.size() == m, "least squares rhs size mismatch");
+  HSLB_REQUIRE(a.size() >= m * n && qtb.size() >= m && v.size() >= m &&
+                   x.size() >= n,
+               "least squares buffer too small");
+  const auto r = [&](std::size_t i, std::size_t j) -> double& {
+    return a[i * n + j];
+  };
 
-  Matrix r = a;              // becomes R in the upper triangle
-  Vector qtb(b.begin(), b.end());  // becomes Q^T b
-
-  LeastSquaresResult out;
-  out.full_rank = true;
-
+  bool full_rank = true;
   for (std::size_t k = 0; k < n; ++k) {
     // Householder vector for column k, rows k..m-1.
     double alpha = 0.0;
@@ -27,19 +26,19 @@ LeastSquaresResult solve_least_squares(const Matrix& a,
     }
     alpha = std::sqrt(alpha);
     if (alpha < 1e-300) {
-      out.full_rank = false;
+      full_rank = false;
       r(k, k) = 1e-150;  // regularize a dead column; its solution entry ~ 0
       continue;
     }
     if (r(k, k) > 0.0) {
       alpha = -alpha;
     }
-    Vector v(m - k);
-    v[0] = r(k, k) - alpha;
+    const std::span<double> vk = v.first(m - k);
+    vk[0] = r(k, k) - alpha;
     for (std::size_t i = k + 1; i < m; ++i) {
-      v[i - k] = r(i, k);
+      vk[i - k] = r(i, k);
     }
-    const double vnorm2 = dot(v, v);
+    const double vnorm2 = dot(vk, vk);
     if (vnorm2 < 1e-300) {
       r(k, k) = alpha;
       continue;
@@ -48,38 +47,53 @@ LeastSquaresResult solve_least_squares(const Matrix& a,
     for (std::size_t c = k; c < n; ++c) {
       double proj = 0.0;
       for (std::size_t i = k; i < m; ++i) {
-        proj += v[i - k] * r(i, c);
+        proj += vk[i - k] * r(i, c);
       }
       proj = 2.0 * proj / vnorm2;
       for (std::size_t i = k; i < m; ++i) {
-        r(i, c) -= proj * v[i - k];
+        r(i, c) -= proj * vk[i - k];
       }
     }
     double proj = 0.0;
     for (std::size_t i = k; i < m; ++i) {
-      proj += v[i - k] * qtb[i];
+      proj += vk[i - k] * qtb[i];
     }
     proj = 2.0 * proj / vnorm2;
     for (std::size_t i = k; i < m; ++i) {
-      qtb[i] -= proj * v[i - k];
+      qtb[i] -= proj * vk[i - k];
     }
   }
 
   // Back substitution on the n x n upper triangle.
-  out.x.assign(n, 0.0);
   for (std::size_t ii = n; ii-- > 0;) {
     double sum = qtb[ii];
     for (std::size_t j = ii + 1; j < n; ++j) {
-      sum -= r(ii, j) * out.x[j];
+      sum -= r(ii, j) * x[j];
     }
     const double diag = r(ii, ii);
     if (std::fabs(diag) < 1e-140) {
-      out.x[ii] = 0.0;
-      out.full_rank = false;
+      x[ii] = 0.0;
+      full_rank = false;
     } else {
-      out.x[ii] = sum / diag;
+      x[ii] = sum / diag;
     }
   }
+  return full_rank;
+}
+
+LeastSquaresResult solve_least_squares(const Matrix& a,
+                                       std::span<const double> b) {
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  HSLB_REQUIRE(b.size() == m, "least squares rhs size mismatch");
+
+  Matrix r = a;                    // becomes R in the upper triangle
+  Vector qtb(b.begin(), b.end());  // becomes Q^T b
+  Vector v(m);
+
+  LeastSquaresResult out;
+  out.x.assign(n, 0.0);
+  out.full_rank = householder_solve(m, n, r.data(), qtb, v, out.x);
 
   const Vector resid = subtract(matvec(a, out.x), b);
   out.residual_norm = norm2(resid);

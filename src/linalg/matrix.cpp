@@ -1,5 +1,6 @@
 #include "hslb/linalg/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "hslb/common/error.hpp"
@@ -117,21 +118,33 @@ Vector scale(double alpha, std::span<const double> v) {
   return out;
 }
 
-Vector matvec(const Matrix& a, std::span<const double> x) {
+void matvec(const Matrix& a, std::span<const double> x, std::span<double> y) {
   HSLB_REQUIRE(a.cols() == x.size(), "matvec size mismatch");
-  Vector y(a.rows(), 0.0);
+  HSLB_REQUIRE(a.rows() == y.size(), "matvec output size mismatch");
   for (std::size_t r = 0; r < a.rows(); ++r) {
     y[r] = dot(a.row(r), x);
   }
+}
+
+Vector matvec(const Matrix& a, std::span<const double> x) {
+  Vector y(a.rows(), 0.0);
+  matvec(a, x, y);
   return y;
 }
 
-Vector matvec_t(const Matrix& a, std::span<const double> x) {
+void matvec_t(const Matrix& a, std::span<const double> x,
+              std::span<double> y) {
   HSLB_REQUIRE(a.rows() == x.size(), "matvec_t size mismatch");
-  Vector y(a.cols(), 0.0);
+  HSLB_REQUIRE(a.cols() == y.size(), "matvec_t output size mismatch");
+  std::fill(y.begin(), y.end(), 0.0);
   for (std::size_t r = 0; r < a.rows(); ++r) {
     axpy(x[r], a.row(r), y);
   }
+}
+
+Vector matvec_t(const Matrix& a, std::span<const double> x) {
+  Vector y(a.cols(), 0.0);
+  matvec_t(a, x, y);
   return y;
 }
 

@@ -15,21 +15,32 @@ namespace {
 using linalg::Matrix;
 using linalg::Vector;
 
+/// The VarPro design for one series: columns (w/n, w n^c, w) and rhs w y.
+/// Only the middle column depends on the exponent c.
+struct VarproDesign {
+  Matrix a;
+  Vector rhs;
+
+  VarproDesign(std::span<const double> nodes, std::span<const double> times,
+               std::span<const double> weights)
+      : a(nodes.size(), 3), rhs(nodes.size()) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      a(i, 0) = weights[i] / nodes[i];
+      a(i, 2) = weights[i];
+      rhs[i] = weights[i] * times[i];
+    }
+  }
+};
+
 /// For a fixed exponent c, solve the (a, b, d) >= 0 subproblem by NNLS and
 /// return the sum of squared residuals.
 double varpro_at(double c, std::span<const double> nodes,
-                 std::span<const double> times,
-                 std::span<const double> weights, PerfParams* best) {
-  const std::size_t m = nodes.size();
-  Matrix a(m, 3);
-  Vector rhs(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    a(i, 0) = weights[i] / nodes[i];
-    a(i, 1) = weights[i] * std::pow(nodes[i], c);
-    a(i, 2) = weights[i];
-    rhs[i] = weights[i] * times[i];
+                 std::span<const double> weights, VarproDesign& design,
+                 PerfParams* best) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    design.a(i, 1) = weights[i] * std::pow(nodes[i], c);
   }
-  const auto r = nlp::solve_nnls(a, rhs);
+  const auto r = nlp::solve_nnls(design.a, design.rhs);
   if (best) {
     best->a = r.x[0];
     best->b = r.x[1];
@@ -104,13 +115,14 @@ FitResult fit(std::span<const double> nodes, std::span<const double> times,
   }
 
   // --- VarPro grid over the exponent. --------------------------------------
+  VarproDesign design(nodes, times, weights);
   PerfParams best;
   double best_sse = lp::kInf;
   for (int k = 0; k <= opts.c_grid; ++k) {
     const double c =
         opts.c_min + (opts.c_max - opts.c_min) * k / std::max(1, opts.c_grid);
     PerfParams p;
-    const double sse = varpro_at(c, nodes, times, weights, &p);
+    const double sse = varpro_at(c, nodes, weights, design, &p);
     if (sse < best_sse) {
       best_sse = sse;
       best = p;
@@ -128,8 +140,8 @@ FitResult fit(std::span<const double> nodes, std::span<const double> times,
       const double c2 = lo + kGolden * (hi - lo);
       PerfParams p1;
       PerfParams p2;
-      const double s1 = varpro_at(c1, nodes, times, weights, &p1);
-      const double s2 = varpro_at(c2, nodes, times, weights, &p2);
+      const double s1 = varpro_at(c1, nodes, weights, design, &p1);
+      const double s2 = varpro_at(c2, nodes, weights, design, &p2);
       if (s1 <= s2) {
         hi = c2;
         if (s1 < best_sse) {

@@ -1,7 +1,10 @@
 // Tests for the NLP layer: NNLS, Levenberg-Marquardt, and the barrier
 // interior-point solver.
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -44,10 +47,42 @@ TEST(Nnls, AllZeroWhenGradientNonpositive) {
   EXPECT_NEAR(r.x[0], 0.0, 1e-12);
 }
 
-class NnlsKktProperty : public ::testing::TestWithParam<int> {};
+TEST(Nnls, StopsAtFixedPoint) {
+  // The 1-degree land series against the VarPro columns (1/n, n^c, 1) at
+  // c = 2.  The n^2 column has the largest gradient, so it enters; its
+  // least-squares coefficient is under the absolute tolerance, so it leaves
+  // again with x unchanged.  Every later iteration would repeat that one:
+  // the solve must stop there instead of running to the cap.  x is not
+  // pinned -- (a, d) = (1459, 2.04) alone reaches residual 0.064, so the
+  // fixed point is not the optimum.
+  const Vector nodes{42, 82, 164, 328, 655};
+  Matrix a(nodes.size(), 3);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    a(i, 0) = 1.0 / nodes[i];
+    a(i, 1) = nodes[i] * nodes[i];
+    a(i, 2) = 1.0;
+  }
+  const Vector b{36.8, 19.8, 10.9, 6.5, 4.3};
+  const auto r = solve_nnls(a, b);
+  EXPECT_LE(r.iterations, 2);
+  EXPECT_FALSE(r.converged);
+  for (const double xj : r.x) {
+    EXPECT_GE(xj, 0.0);
+  }
+}
 
-TEST_P(NnlsKktProperty, SatisfiesKktConditions) {
-  common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 271 + 3);
+/// Instance families for the KKT property: dense entries in [-1, 1], or the
+/// VarPro fitter's badly scaled columns (w/n, w n^c, w).
+enum class NnlsShape { kUnitBox, kVarPro };
+
+struct NnlsCase {
+  NnlsShape shape;
+  int seed;
+};
+
+/// [-1, 1] entries: the solve must converge to a KKT point.
+void check_unit_box_instance(int seed) {
+  common::Rng rng(static_cast<std::uint64_t>(seed) * 271 + 3);
   const std::size_t m = 4 + static_cast<std::size_t>(rng.uniform_int(0, 8));
   const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 4));
   Matrix a(m, n);
@@ -73,7 +108,97 @@ TEST_P(NnlsKktProperty, SatisfiesKktConditions) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomNnls, NnlsKktProperty, ::testing::Range(0, 30));
+/// VarPro columns: the solve may stop at a fixed point short of KKT (the
+/// tolerance is absolute), but it must stop within a few iterations and say
+/// truthfully whether KKT holds.  Timing-curve samples T(n) = A/n + D (+ a
+/// small B n^e) with 5% noise at 3-8 log-spaced node counts from lo in
+/// [32, 4096] to lo * [8, 64], fitted with an exponent c in [1, 3], so the
+/// n^c column outgrows 1/n by up to 10^21.  Half the instances weight each
+/// row by 1/t, as FitOptions::relative_weighting does.
+void check_varpro_instances(int seed) {
+  common::Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 11);
+  for (int instance = 0; instance < 100; ++instance) {
+    const std::size_t m = 3 + static_cast<std::size_t>(rng.uniform_int(0, 5));
+    const double lo = std::exp(rng.uniform(std::log(32.0), std::log(4096.0)));
+    const double hi = lo * std::exp(rng.uniform(std::log(8.0), std::log(64.0)));
+    const double c = rng.uniform(1.0, 3.0);
+    const bool relative = rng.uniform() < 0.5;
+    const double big_a = lo * rng.uniform(1.0, 100.0);
+    const double big_d = rng.uniform(0.1, 10.0);
+    const double big_e = rng.uniform(1.0, 2.0);
+    const double big_b =
+        rng.uniform() < 0.5
+            ? 0.0
+            : rng.uniform(0.0, 0.5) * big_d / std::pow(hi, big_e);
+    Matrix a(m, 3);
+    Vector b(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double n =
+          lo * std::pow(hi / lo, static_cast<double>(i) /
+                                     static_cast<double>(m - 1));
+      const double t = (big_a / n + big_b * std::pow(n, big_e) + big_d) *
+                       (1.0 + rng.uniform(-0.05, 0.05));
+      const double w = relative ? 1.0 / t : 1.0;
+      a(i, 0) = w / n;
+      a(i, 1) = w * std::pow(n, c);
+      a(i, 2) = w;
+      b[i] = w * t;
+    }
+    const auto r = solve_nnls(a, b);
+    SCOPED_TRACE(::testing::Message() << "instance " << instance << ", m "
+                                      << m << ", c " << c);
+    for (const double xj : r.x) {
+      ASSERT_GE(xj, 0.0);
+    }
+    ASSERT_LE(r.iterations, 2 * 3 + 1);
+    // converged <=> every column at 0 has -gradient within the solver's
+    // tolerance, the gradient computed with the solver's arithmetic.
+    const double tol = 1e-10 * std::max(1.0, a.frobenius_norm());
+    const Vector w = linalg::scale(
+        -1.0, linalg::matvec_t(a, linalg::subtract(linalg::matvec(a, r.x), b)));
+    bool kkt = true;
+    for (std::size_t j = 0; j < 3; ++j) {
+      if (r.x[j] == 0.0 && w[j] > tol) {
+        kkt = false;
+      }
+    }
+    ASSERT_EQ(r.converged, kkt);
+  }
+}
+
+class NnlsKktProperty : public ::testing::TestWithParam<NnlsCase> {};
+
+TEST_P(NnlsKktProperty, SatisfiesKktConditions) {
+  switch (GetParam().shape) {
+    case NnlsShape::kUnitBox:
+      check_unit_box_instance(GetParam().seed);
+      break;
+    case NnlsShape::kVarPro:
+      check_varpro_instances(GetParam().seed);
+      break;
+  }
+}
+
+std::vector<NnlsCase> nnls_cases(NnlsShape shape, int count) {
+  std::vector<NnlsCase> cases;
+  for (int seed = 0; seed < count; ++seed) {
+    cases.push_back({shape, seed});
+  }
+  return cases;
+}
+
+std::string nnls_case_name(const ::testing::TestParamInfo<NnlsCase>& info) {
+  return std::to_string(info.param.seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomNnls, NnlsKktProperty,
+                         ::testing::ValuesIn(nnls_cases(NnlsShape::kUnitBox,
+                                                        30)),
+                         nnls_case_name);
+INSTANTIATE_TEST_SUITE_P(VarProNnls, NnlsKktProperty,
+                         ::testing::ValuesIn(nnls_cases(NnlsShape::kVarPro,
+                                                        20)),
+                         nnls_case_name);
 
 // --- Levenberg-Marquardt ----------------------------------------------------
 

@@ -274,30 +274,52 @@ TEST(Service, CacheHitIsByteIdenticalToColdSolve) {
 }
 
 TEST(Service, SolvesFromSamplesViaFitPath) {
-  // Synthetic samples straight off the reference curves.
-  AllocationRequest request;
-  request.case_name = "1deg";
-  request.total_nodes = 128;
-  const auto fits = reference_fits();
-  for (const auto& [kind, model] : fits) {
-    for (const int n : {32, 64, 128, 256, 512}) {
-      request.samples.push_back(
-          cesm::BenchmarkSample{kind, n, model(static_cast<double>(n))});
+  // Several distinct samples-only requests in flight at once on four
+  // workers: each worker fits its own series (the fitter keeps per-thread
+  // scratch), and every answer must equal a serial run of the same request.
+  // Samples come off the reference curves, scaled per request so no two
+  // requests share a fit or a cache key.
+  constexpr int kRequests = 8;
+  std::vector<AllocationRequest> requests;
+  for (int r = 0; r < kRequests; ++r) {
+    AllocationRequest request;
+    request.case_name = "1deg";
+    request.total_nodes = 96 + 32 * r;
+    const double scale = 1.0 + 0.05 * r;
+    for (const auto& [kind, model] : reference_fits()) {
+      for (const int n : {32, 64, 128, 256, 512}) {
+        request.samples.push_back(cesm::BenchmarkSample{
+            kind, n, scale * model(static_cast<double>(n))});
+      }
     }
+    requests.push_back(std::move(request));
   }
 
-  AllocationService service(small_service(1));
-  const SolveOutcome outcome = service.solve(request);
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome.value().solver_status, minlp::MinlpStatus::kOptimal);
-  EXPECT_GT(outcome.value().allocation.predicted_total, 0.0);
+  AllocationService service(small_service(4));
+  std::vector<AllocationService::Ticket> tickets;
+  for (const AllocationRequest& request : requests) {
+    tickets.push_back(service.submit(request));
+  }
 
-  core::PipelineConfig config;
-  config.case_config = cesm::one_degree_case();
-  config.total_nodes = request.total_nodes;
-  const core::HslbResult direct =
-      core::run_hslb_from_samples(config, request.samples);
-  EXPECT_EQ(outcome.value().allocation.nodes, direct.allocation.nodes);
+  for (int r = 0; r < kRequests; ++r) {
+    SCOPED_TRACE(::testing::Message() << "request " << r);
+    EXPECT_FALSE(tickets[r].cache_hit);
+    EXPECT_FALSE(tickets[r].coalesced);
+    const SolveOutcome& outcome = tickets[r].future.get();
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome.value().solver_status, minlp::MinlpStatus::kOptimal);
+    EXPECT_GT(outcome.value().allocation.predicted_total, 0.0);
+
+    core::PipelineConfig config;
+    config.case_config = cesm::one_degree_case();
+    config.total_nodes = requests[r].total_nodes;
+    const core::HslbResult direct =
+        core::run_hslb_from_samples(config, requests[r].samples);
+    EXPECT_EQ(outcome.value().allocation.nodes, direct.allocation.nodes);
+    EXPECT_EQ(outcome.value().allocation.predicted_total,
+              direct.allocation.predicted_total);
+  }
+  EXPECT_EQ(service.stats().solved, kRequests);
 }
 
 TEST(Service, IdenticalConcurrentRequestsRunTheSolverOnce) {
