@@ -112,11 +112,14 @@ struct LpSolution {
   /// reusable).
   Basis basis;
 
-  // --- factorization accounting (all deterministic) ---
+  // --- work accounting (all deterministic) ---
   long factorizations = 0;    ///< fresh basis LUs built
   long refactorizations = 0;  ///< LUs forced by an eta trigger mid-solve
   long eta_updates = 0;       ///< product-form updates appended
   long bound_flips = 0;       ///< pivots resolved without a basis change
+  /// Structural reduced costs computed by primal pricing (each a column
+  /// dot product with the duals); reused ones are not counted.
+  long priced_columns = 0;
 
   // --- phase timing (wall clock; excluded from fingerprints) ---
   double factor_seconds = 0.0;  ///< building LU factorizations
